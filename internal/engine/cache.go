@@ -16,13 +16,9 @@ package engine
 
 import (
 	"container/list"
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"sort"
-	"strings"
 	"sync"
 
+	"subdex/internal/dataset"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 )
@@ -45,13 +41,13 @@ type TopMapsCache struct {
 	budget  int
 	used    int
 	order   *list.List // front = most recently used
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 
 	hits, misses, evictions int64
 }
 
 type topMapsCacheEntry struct {
-	key  string
+	key  cacheKey
 	acc  *ratingmap.Accumulator
 	cost int // record count of the cached scan
 }
@@ -62,13 +58,13 @@ func NewTopMapsCache(budgetRecords int) *TopMapsCache {
 	return &TopMapsCache{
 		budget:  budgetRecords,
 		order:   list.New(),
-		entries: make(map[string]*list.Element),
+		entries: make(map[cacheKey]*list.Element),
 	}
 }
 
 // get returns the cached accumulator for key, if any, marking it most
 // recently used.
-func (c *TopMapsCache) get(key string) (*ratingmap.Accumulator, bool) {
+func (c *TopMapsCache) get(key cacheKey) (*ratingmap.Accumulator, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -87,7 +83,7 @@ func (c *TopMapsCache) get(key string) (*ratingmap.Accumulator, bool) {
 // put admits a completed accumulator, evicting LRU entries until the
 // record budget holds. It returns how many entries were evicted. Entries
 // larger than the whole budget are never admitted.
-func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) int {
+func (c *TopMapsCache) put(key cacheKey, acc *ratingmap.Accumulator, cost int) int {
 	if c == nil || c.budget <= 0 || cost > c.budget {
 		return 0
 	}
@@ -125,7 +121,7 @@ func (c *TopMapsCache) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order.Init()
-	c.entries = make(map[string]*list.Element)
+	c.entries = make(map[cacheKey]*list.Element)
 	c.used = 0
 }
 
@@ -177,34 +173,87 @@ func (c *TopMapsCache) addEvictions(n int) {
 	c.mu.Unlock()
 }
 
-// cacheKey builds the lookup key: the group signature (description +
-// record-set hash, distinguishing subsampled groups from their full
-// selection), the candidate-key set (order-insensitive), and the utility
-// configuration. The record hash is FNV-1a over the raw positions — O(n)
-// but ~50× cheaper per record than the scan it guards.
-func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) string {
-	h := fnv.New64a()
-	var buf [4]byte
+// cacheKey is the cross-step cache's exact, comparable lookup key: the
+// group signature (description key, record count and an FNV-1a 64 hash
+// of the record positions, which distinguishes subsampled groups from
+// their full selection), the candidate set, and the utility
+// configuration. The candidate set is exact, not hashed: a bitset over
+// interned candidate ids (see candidateID), so it is order-insensitive
+// and no two candidate sets share a key.
+type cacheKey struct {
+	desc    string
+	records int
+	recHash uint64
+	cands   string
+	utility ratingmap.UtilityConfig
+}
+
+// FNV-1a 64 parameters (hash/fnv), inlined so hashing a record list
+// costs no interface call per record.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// newCacheKey builds the lookup key for one TopMaps call. The record
+// hash is O(n) but far cheaper per record than the scan it guards. ok is
+// false when a candidate does not intern (an attribute outside the
+// schema, a dimension out of range) or repeats: such calls bypass the
+// cache rather than risk an inexact key.
+func newCacheKey(db *dataset.DB, group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) (key cacheKey, ok bool) {
+	nIDs := (db.Reviewers.Schema.Len() + db.Items.Schema.Len()) * len(db.Ratings.Dimensions)
+	var small [64]byte
+	bits := small[:0]
+	if n := (nIDs + 7) / 8; n <= len(small) {
+		bits = small[:n]
+	} else {
+		bits = make([]byte, n)
+	}
+	for _, k := range candidates {
+		id, ok := candidateID(db, k)
+		if !ok || bits[id>>3]&(1<<(id&7)) != 0 {
+			return key, false
+		}
+		bits[id>>3] |= 1 << (id & 7)
+	}
+	h := uint64(fnvOffset64)
 	for _, r := range group.Records {
-		binary.LittleEndian.PutUint32(buf[:], uint32(r))
-		h.Write(buf[:])
+		v := uint32(r)
+		h = (h ^ uint64(v&0xff)) * fnvPrime64
+		h = (h ^ uint64(v>>8&0xff)) * fnvPrime64
+		h = (h ^ uint64(v>>16&0xff)) * fnvPrime64
+		h = (h ^ uint64(v>>24)) * fnvPrime64
 	}
-	ks := append([]ratingmap.Key(nil), candidates...)
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].Side != ks[j].Side {
-			return ks[i].Side < ks[j].Side
-		}
-		if ks[i].Attr != ks[j].Attr {
-			return ks[i].Attr < ks[j].Attr
-		}
-		return ks[i].Dim < ks[j].Dim
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\x02%d\x02%x\x02", group.Desc.Key(), len(group.Records), h.Sum64())
-	for _, k := range ks {
-		fmt.Fprintf(&b, "%d.%s.%d;", k.Side, k.Attr, k.Dim)
+	return cacheKey{
+		desc:    group.Desc.Key(),
+		records: len(group.Records),
+		recHash: h,
+		cands:   string(bits),
+		utility: u,
+	}, true
+}
+
+// candidateID interns a candidate as a dense integer built from (side,
+// attribute index, dimension): reviewer attributes first, then item
+// attributes, each spanning one id per rating dimension.
+func candidateID(db *dataset.DB, k ratingmap.Key) (int, bool) {
+	nDims := len(db.Ratings.Dimensions)
+	if k.Dim < 0 || k.Dim >= nDims {
+		return 0, false
 	}
-	fmt.Fprintf(&b, "\x02%d|%d|%d|%t|%t", u.Aggregation, u.Single, u.Peculiarity,
-		u.DisableDimensionWeights, u.Normalize)
-	return b.String()
+	var a int
+	switch k.Side {
+	case query.ReviewerSide:
+		a = db.Reviewers.Schema.Index(k.Attr)
+	case query.ItemSide:
+		if a = db.Items.Schema.Index(k.Attr); a >= 0 {
+			a += db.Reviewers.Schema.Len()
+		}
+	default:
+		return 0, false
+	}
+	if a < 0 {
+		return 0, false
+	}
+	return a*nDims + k.Dim, true
 }

@@ -1,62 +1,69 @@
 package engine
 
 import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"subdex/internal/dataset"
 	"subdex/internal/obs"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 )
 
+// k builds a cache key that differs from others only in its description.
+func k(desc string) cacheKey { return cacheKey{desc: desc} }
+
 func TestTopMapsCacheLRUAndBudget(t *testing.T) {
 	c := NewTopMapsCache(100)
 	acc := &ratingmap.Accumulator{} // placeholder value; the cache never derefs it
 
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get(k("a")); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put("a", acc, 40)
-	c.put("b", acc, 40)
+	c.put(k("a"), acc, 40)
+	c.put(k("b"), acc, 40)
 	if st := c.Stats(); st.Entries != 2 || st.UsedRecords != 80 {
 		t.Fatalf("stats %+v", st)
 	}
 	// Touch a so b becomes LRU, then overflow: b must go first.
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(k("a")); !ok {
 		t.Fatal("want hit on a")
 	}
-	if ev := c.put("c", acc, 40); ev != 1 {
+	if ev := c.put(k("c"), acc, 40); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get(k("b")); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(k("a")); !ok {
 		t.Fatal("a should have survived (recently used)")
 	}
 	// Oversized entries are never admitted.
-	if ev := c.put("huge", acc, 101); ev != 0 {
+	if ev := c.put(k("huge"), acc, 101); ev != 0 {
 		t.Fatalf("oversized put evicted %d", ev)
 	}
-	if _, ok := c.get("huge"); ok {
+	if _, ok := c.get(k("huge")); ok {
 		t.Fatal("oversized entry admitted")
 	}
 	c.Invalidate()
 	if st := c.Stats(); st.Entries != 0 || st.UsedRecords != 0 {
 		t.Fatalf("post-invalidate stats %+v", st)
 	}
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get(k("a")); ok {
 		t.Fatal("hit after invalidate")
 	}
 }
 
 func TestTopMapsCacheNilSafe(t *testing.T) {
 	var c *TopMapsCache
-	if _, ok := c.get("x"); ok {
+	if _, ok := c.get(k("x")); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.put("x", nil, 1)
+	c.put(k("x"), nil, 1)
 	c.addEvictions(3)
 	c.Invalidate()
 	if st := c.Stats(); st != (CacheStats{}) {
@@ -73,35 +80,105 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	group := wholeGroup(t, db)
 	keys := allCandidates(db)
 	u := ratingmap.DefaultUtilityConfig()
+	key := func(group *query.RatingGroup, keys []ratingmap.Key, u ratingmap.UtilityConfig) cacheKey {
+		t.Helper()
+		k, ok := newCacheKey(db, group, keys, u)
+		if !ok {
+			t.Fatalf("candidate set %v does not intern", keys)
+		}
+		return k
+	}
 
-	base := cacheKey(group, keys, u)
-	if base != cacheKey(group, keys, u) {
+	base := key(group, keys, u)
+	if base != key(group, keys, u) {
 		t.Fatal("key not deterministic")
+	}
+	// The inlined record hash is hash/fnv's FNV-1a 64 over the
+	// little-endian positions.
+	h := fnv.New64a()
+	for _, r := range group.Records {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(r)))
+	}
+	if base.recHash != h.Sum64() || base.records != len(group.Records) {
+		t.Fatalf("record hash %x over %d records, want FNV-1a %x over %d", base.recHash, base.records, h.Sum64(), len(group.Records))
 	}
 	// Candidate order must not matter (set semantics).
 	rev := append([]ratingmap.Key(nil), keys...)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	if base != cacheKey(group, rev, u) {
+	if base != key(group, rev, u) {
 		t.Fatal("key depends on candidate order")
 	}
 	// A different candidate set must change the key.
-	if base == cacheKey(group, keys[:len(keys)-1], u) {
+	if base == key(group, keys[:len(keys)-1], u) {
 		t.Fatal("key ignores candidate set")
+	}
+	// Candidate sets differing only in the dimension of one candidate, or
+	// only in the side of an attribute name both tables carry, must not
+	// share a key.
+	gender0 := ratingmap.Key{Side: query.ReviewerSide, Attr: "gender", Dim: 0}
+	gender1 := ratingmap.Key{Side: query.ReviewerSide, Attr: "gender", Dim: 1}
+	if key(group, []ratingmap.Key{gender0}, u) == key(group, []ratingmap.Key{gender1}, u) {
+		t.Fatal("key ignores the candidate's dimension")
+	}
+	shared := sharedNameDB(t)
+	sg := wholeGroup(t, shared)
+	revName := ratingmap.Key{Side: query.ReviewerSide, Attr: "name", Dim: 0}
+	itemName := ratingmap.Key{Side: query.ItemSide, Attr: "name", Dim: 0}
+	kr, ok1 := newCacheKey(shared, sg, []ratingmap.Key{revName}, u)
+	ki, ok2 := newCacheKey(shared, sg, []ratingmap.Key{itemName}, u)
+	if !ok1 || !ok2 {
+		t.Fatal("same-name attributes do not intern")
+	}
+	if kr == ki {
+		t.Fatal("key ignores the candidate's side")
+	}
+	// Candidates outside the schema, or repeated, bypass the cache.
+	if _, ok := newCacheKey(db, group, []ratingmap.Key{{Side: query.ItemSide, Attr: "nope"}}, u); ok {
+		t.Fatal("unknown attribute interned")
+	}
+	if _, ok := newCacheKey(db, group, []ratingmap.Key{gender0, gender0}, u); ok {
+		t.Fatal("repeated candidate interned")
 	}
 	// A different record subset must change the key.
 	sub := &query.RatingGroup{Desc: group.Desc, Records: group.Records[:len(group.Records)-1],
 		Reviewers: group.Reviewers, Items: group.Items}
-	if base == cacheKey(sub, keys, u) {
+	if base == key(sub, keys, u) {
 		t.Fatal("key ignores record set")
 	}
 	// A different utility config must change the key.
 	u2 := u
 	u2.Normalize = true
-	if base == cacheKey(group, keys, u2) {
+	if base == key(group, keys, u2) {
 		t.Fatal("key ignores utility config")
 	}
+}
+
+// sharedNameDB builds a frozen database whose reviewer and item tables
+// both carry an attribute called "name".
+func sharedNameDB(t *testing.T) *dataset.DB {
+	t.Helper()
+	reviewers := dataset.NewEntityTable("reviewers", dataset.MustSchema(dataset.Attribute{Name: "name"}))
+	items := dataset.NewEntityTable("items", dataset.MustSchema(dataset.Attribute{Name: "name"}))
+	if _, err := reviewers.AppendRow("u", map[string]string{"name": "ann"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := items.AppendRow("i", map[string]string{"name": "ann"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Append(0, 0, []dataset.Score{4}); err != nil {
+		t.Fatal(err)
+	}
+	db := dataset.NewDB("shared-name", reviewers, items, rt)
+	if err := db.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // TestCacheMetricsWired checks the subdex_engine_cache_* counters move
@@ -284,5 +361,50 @@ func TestExactOnCacheMiss(t *testing.T) {
 		if st := g2.Cache.Stats(); st.Entries != 0 {
 			t.Fatalf("pruned run populated the cache: %+v", st)
 		}
+	}
+}
+
+// warmHitAllocs bounds the heap allocations of one warm-cache TopMapsCtx
+// hit with k' = 4: the cache key's candidate bitset, the result, profile
+// and span bookkeeping, the finalize pass's per-call slices, and four
+// snapshots of four allocations each. Measured at 30; the bound leaves
+// room for toolchain drift, not for per-candidate allocations.
+const warmHitAllocs = 40
+
+// TestWarmCacheHitAllocs: a cache hit skips the scan and re-finalizes the
+// cached rows, so its allocations stay under a small constant that does
+// not grow with the candidate count.
+func TestWarmCacheHitAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db := buildRandomDB(t, rng, 20, 20, 400)
+	group := wholeGroup(t, db)
+	keys := allCandidates(db)
+	g := NewGenerator(db)
+	g.Cache = NewTopMapsCache(1 << 20)
+	cfg := DefaultConfig()
+	seen := ratingmap.NewSeenSet()
+	ctx := context.Background()
+	warmHit := func(keys []ratingmap.Key) float64 {
+		t.Helper()
+		if _, err := g.TopMapsCtx(ctx, group, keys, seen, 4, cfg); err != nil {
+			t.Fatal(err)
+		}
+		hit := true
+		n := testing.AllocsPerRun(20, func() {
+			res, err := g.TopMapsCtx(ctx, group, keys, seen, 4, cfg)
+			hit = hit && err == nil && res.Profile.Cache == "hit"
+		})
+		if !hit {
+			t.Fatal("warm call missed the cache")
+		}
+		return n
+	}
+	few, all := warmHit(keys[:6]), warmHit(keys)
+	t.Logf("warm-cache hit: %v allocations with 6 candidates, %v with %d", few, all, len(keys))
+	if all > warmHitAllocs {
+		t.Fatalf("warm-cache hit allocates %v times, want at most %d", all, warmHitAllocs)
+	}
+	if all != few {
+		t.Fatalf("warm-cache hit allocations grow with the candidate count: %v with 6, %v with %d", few, all, len(keys))
 	}
 }

@@ -172,6 +172,26 @@ func referenceHistograms(db *dataset.DB, records []int32, keys []ratingmap.Key) 
 	return out
 }
 
+// referenceDigest renders the reference histograms in RatingMap.Digest
+// form, one line per key, so they compare byte for byte with
+// snapshotDigest.
+func referenceDigest(db *dataset.DB, ref map[ratingmap.Key]map[dataset.ValueID][]int, keys []ratingmap.Key) string {
+	maps := make([]*ratingmap.RatingMap, 0, len(keys))
+	for _, k := range keys {
+		rm := &ratingmap.RatingMap{Key: k, Scale: db.Ratings.Dimensions[k.Dim].Scale}
+		for v, h := range ref[k] {
+			n := 0
+			for _, c := range h {
+				n += c
+			}
+			rm.TotalRecords += n
+			rm.Subgroups = append(rm.Subgroups, ratingmap.Subgroup{Value: v, Counts: h, N: n})
+		}
+		maps = append(maps, rm)
+	}
+	return ratingmap.DigestMaps(maps)
+}
+
 // assertAccMatchesReference compares every candidate's snapshot against
 // the reference: exact histogram counts, and derived float moments
 // (average score, standard deviation) within 1e-12.
@@ -281,14 +301,10 @@ func TestDifferentialShardedAccumulation(t *testing.T) {
 				seq := g.Builder.NewAccumulator(desc, keys)
 				seq.Update(recs)
 				seqDigest := snapshotDigest(seq, keys)
-				// The default builder scans through the fused columnar
-				// kernel; the map-based reference path must produce a
-				// bit-identical digest on every record set.
-				mapB := ratingmap.Builder{DB: db, DisableKernel: true}
-				mapAcc := mapB.NewAccumulator(desc, keys)
-				mapAcc.Update(recs)
-				if d := snapshotDigest(mapAcc, keys); d != seqDigest {
-					t.Fatalf("seed=%d shape=%v: kernel digest differs from map-based reference path",
+				// The fused columnar kernel must produce the digest of the
+				// brute-force reference on every record set.
+				if d := referenceDigest(db, ref, keys); d != seqDigest {
+					t.Fatalf("seed=%d shape=%v: kernel digest differs from the brute-force reference",
 						seed, sh)
 				}
 				for _, workers := range workersFor(len(recs)) {
@@ -498,9 +514,8 @@ func TestDifferentialCacheSeenSetFreshness(t *testing.T) {
 }
 
 // assertKernelFamily runs one adversarial record set through every scan
-// path — fused kernel, map-based reference builder, independent
-// brute-force reference, and the sharded pool — and demands bit-identical
-// digests everywhere.
+// path — fused kernel, independent brute-force reference, and the sharded
+// pool — and demands bit-identical digests everywhere.
 func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 	t.Helper()
 	keys := allCandidates(db)
@@ -508,17 +523,13 @@ func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 	ref := referenceHistograms(db, records, keys)
 
 	kernelB := ratingmap.Builder{DB: db}
-	mapB := ratingmap.Builder{DB: db, DisableKernel: true}
 
 	kacc := kernelB.NewAccumulator(desc, keys)
 	kacc.Update(records)
 	assertAccMatchesReference(t, kacc, ref, keys)
 	want := snapshotDigest(kacc, keys)
-
-	macc := mapB.NewAccumulator(desc, keys)
-	macc.Update(records)
-	if got := snapshotDigest(macc, keys); got != want {
-		t.Fatal("kernel digest differs from map-based reference path")
+	if got := referenceDigest(db, ref, keys); got != want {
+		t.Fatal("kernel digest differs from the brute-force reference")
 	}
 
 	g := &Generator{DB: db, Builder: kernelB}
@@ -533,12 +544,10 @@ func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 
 // TestDifferentialKernelAdversarial crafts record sets aimed at the fused
 // kernel's specific failure modes: repeated value IDs inside multi-valued
-// sets, rows with every value missing, all-zero score columns, dictionary
-// IDs far past the reference path's initial counter capacity (and hit
-// high-before-low, so slice growth patterns diverge maximally), empty
-// record ranges, and single-record groups. Each family must be digest-
-// identical across kernel, map-based reference, brute force, and the
-// sharded pool.
+// sets, rows with every value missing, all-zero score columns, wide
+// dictionaries hit high-id-first, empty record ranges, and single-record
+// groups. Each family must be digest-identical across the kernel, brute
+// force, and the sharded pool.
 func TestDifferentialKernelAdversarial(t *testing.T) {
 	mustRow := func(t *testing.T, et *dataset.EntityTable, id string,
 		vals map[string]string, multi map[string][]string) {

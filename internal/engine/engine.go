@@ -12,6 +12,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -266,9 +267,12 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 	// (group, candidate set, utility config) lets the step skip the scan
 	// and finalize the exact ranking directly. The cached accumulator is
 	// shared and read-only; finalize never mutates it.
-	var key string
+	var key cacheKey
+	cacheable := false
 	if g.Cache != nil {
-		key = cacheKey(group, candidates, cfg.Utility)
+		key, cacheable = newCacheKey(g.DB, group, candidates, cfg.Utility)
+	}
+	if cacheable {
 		if cached, ok := g.Cache.get(key); ok {
 			g.Metrics.addCacheHit()
 			span.SetAttr("cache", "hit")
@@ -320,7 +324,7 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 			res.Degraded = true
 			prof.DegradedReason = "partition_lost"
 		}
-		g.maybeCache(key, acc, res, n)
+		g.maybeCache(cacheable, key, acc, res, n)
 		fctx := ctx
 		if res.Degraded {
 			fctx = context.WithoutCancel(ctx)
@@ -497,7 +501,7 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 		endPhase()
 	}
 	res.RecordsProcessed = processed
-	g.maybeCache(key, acc, res, n)
+	g.maybeCache(cacheable, key, acc, res, n)
 	// Finalize over whatever prefix was accumulated. A degraded run
 	// finalizes under a detached context: the final scoring pass is cheap
 	// (it reads accumulated statistics, not records) and must complete for
@@ -681,11 +685,12 @@ func ciPrune(est map[int]estimateEntry, processed, total, kPrime int, delta floa
 // maybeCache admits the accumulator into the cross-step cache when it is
 // a complete, unpruned scan of the whole group: no candidate was removed
 // mid-scan (every histogram covers every record) and the scan reached the
-// final record. key is empty when no cache is installed. A degraded
-// *finalize* does not block admission — degradation there only truncates
-// scoring, the accumulated counts are already complete.
-func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Result, n int) {
-	if key == "" || res.PrunedCI > 0 || res.PrunedMAB > 0 || res.RecordsProcessed != n {
+// final record. cacheable is false when no cache is installed or the call
+// bypasses it. A degraded *finalize* does not block admission —
+// degradation there only truncates scoring, the accumulated counts are
+// already complete.
+func (g *Generator) maybeCache(cacheable bool, key cacheKey, acc *ratingmap.Accumulator, res *Result, n int) {
+	if !cacheable || res.PrunedCI > 0 || res.PrunedMAB > 0 || res.RecordsProcessed != n {
 		return
 	}
 	evicted := g.Cache.put(key, acc, n)
@@ -693,16 +698,6 @@ func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Resu
 		g.Cache.addEvictions(evicted)
 		g.Metrics.addCacheEvictions(evicted)
 	}
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 // finalize scores all remaining candidates on their full accumulated data
@@ -724,29 +719,32 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	if workers < 1 {
 		workers = 1
 	}
-	poolStart := time.Now()
-	busy := make([]time.Duration, workers)
-	var wg sync.WaitGroup
+	// Worker w scores the candidates at Keys() positions
+	// [w*chunk, (w+1)*chunk). Worker 0 runs on the calling goroutine, so a
+	// single worker spawns nothing.
 	chunk := (len(keys) + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < len(keys); w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					break
-				}
-				scores[i], _ = acc.CriteriaEstimateOpt(keys[i], seen, 1, cfg.Utility.Peculiarity)
-				scored[i] = true
+	busy := make([]time.Duration, workers)
+	work := func(w int) {
+		t0 := time.Now()
+		for i := w * chunk; i < min((w+1)*chunk, len(keys)); i++ {
+			if ctx.Err() != nil {
+				break
 			}
-			busy[w] = time.Since(t0)
-		}(w, lo, hi)
+			scores[i] = acc.CriteriaEstimateAt(i, seen, 1, cfg.Utility.Peculiarity)
+			scored[i] = true
+		}
+		busy[w] = time.Since(t0)
 	}
+	poolStart := time.Now()
+	var wg sync.WaitGroup
+	for w := 1; w < workers && w*chunk < len(keys); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
 	wg.Wait()
 	var totalBusy time.Duration
 	for _, b := range busy {
@@ -756,15 +754,20 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 
 	// Drop candidates the cancelled scoring pass never reached; ranking a
 	// zero-valued score would be wrong, excluding it is merely incomplete.
-	if nScored := countTrue(scored); nScored < len(keys) {
+	// pos maps each ranked candidate back to its Keys() position.
+	pos := make([]int, 0, len(keys))
+	for i, ok := range scored {
+		if ok {
+			pos = append(pos, i)
+		}
+	}
+	if len(pos) < len(keys) {
 		res.Degraded = true
-		ck := make([]ratingmap.Key, 0, nScored)
-		cs := make([]ratingmap.Scores, 0, nScored)
-		for i, ok := range scored {
-			if ok {
-				ck = append(ck, keys[i])
-				cs = append(cs, scores[i])
-			}
+		ck := make([]ratingmap.Key, 0, len(pos))
+		cs := make([]ratingmap.Scores, 0, len(pos))
+		for _, i := range pos {
+			ck = append(ck, keys[i])
+			cs = append(cs, scores[i])
 		}
 		keys, scores = ck, cs
 	}
@@ -789,14 +792,23 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return utils[order[a]] > utils[order[b]] })
+	// Stable descending sort: equal utilities keep Keys() order.
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case utils[a] > utils[b]:
+			return -1
+		case utils[a] < utils[b]:
+			return 1
+		}
+		return 0
+	})
 	if kPrime > len(order) {
 		kPrime = len(order)
 	}
 	res.Maps = make([]*ratingmap.RatingMap, 0, kPrime)
 	res.Utilities = make([]float64, 0, kPrime)
 	for _, i := range order[:kPrime] {
-		res.Maps = append(res.Maps, acc.Snapshot(keys[i]))
+		res.Maps = append(res.Maps, acc.SnapshotAt(pos[i]))
 		res.Utilities = append(res.Utilities, utils[i])
 	}
 }

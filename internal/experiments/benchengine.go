@@ -30,17 +30,11 @@ type BenchEngineReport struct {
 	Cores       int     `json:"cores"`
 	Workers     int     `json:"workers"`
 
-	// Map-based reference scan vs the fused columnar kernel, both
-	// sequential and uncached: the per-step cost of the Accumulator's two
-	// Update paths on identical inputs. KernelNsPerStep is the same
-	// measurement as SeqNsPerStep (the default builder scans through the
-	// kernel); RefNsPerStep disables it via Builder.DisableKernel. The
-	// pprof paths hold CPU profiles of each arm for flamegraph inspection.
-	RefNsPerStep    int64   `json:"ref_ns_per_step"`
-	KernelNsPerStep int64   `json:"kernel_ns_per_step"`
-	KernelSpeedup   float64 `json:"kernel_speedup"`
-	RefProfile      string  `json:"ref_profile"`
-	KernelProfile   string  `json:"kernel_profile"`
+	// The fused columnar kernel, sequential and uncached.
+	// KernelNsPerStep is the same measurement as SeqNsPerStep;
+	// KernelProfile holds a CPU profile of it for flamegraph inspection.
+	KernelNsPerStep int64  `json:"kernel_ns_per_step"`
+	KernelProfile   string `json:"kernel_profile"`
 
 	// Sequential (Workers=1, no cache) vs sharded parallel accumulation.
 	SeqNsPerStep int64   `json:"seq_ns_per_step"`
@@ -146,23 +140,11 @@ func BenchEngine(p Params) error {
 	// the parallel and cache comparisons below.
 	seqRes := run(g, 1)
 	wantDigest := ratingmap.DigestMaps(seqRes.Maps)
-	// The kernel/reference pair gets extra iterations: the arms differ by
-	// tens of percent, not multiples, so they need tighter error bars (and
-	// enough samples for their CPU profiles) than the parallel/cache arms.
+	// The kernel arm gets extra iterations: it is the baseline every
+	// speedup divides by, and its CPU profile needs enough samples.
 	armIters := 10 * iters
 	kernelProfile := out + ".kernel.pprof"
 	seqNs, err := profiledIters(kernelProfile, armIters, func() { run(g, 1) })
-	if err != nil {
-		return err
-	}
-
-	// Reference arm: identical logical work through the map-based Update
-	// path (Builder.DisableKernel), for the kernel's before/after pair.
-	gRef := engine.NewGenerator(db)
-	gRef.Builder.DisableKernel = true
-	refRes := run(gRef, 1)
-	refProfile := out + ".ref.pprof"
-	refNs, err := profiledIters(refProfile, armIters, func() { run(gRef, 1) })
 	if err != nil {
 		return err
 	}
@@ -181,8 +163,7 @@ func BenchEngine(p Params) error {
 	warmRes := run(gc, workers)
 	st := gc.Cache.Stats()
 
-	identical := ratingmap.DigestMaps(refRes.Maps) == wantDigest &&
-		ratingmap.DigestMaps(parRes.Maps) == wantDigest &&
+	identical := ratingmap.DigestMaps(parRes.Maps) == wantDigest &&
 		ratingmap.DigestMaps(coldRes.Maps) == wantDigest &&
 		ratingmap.DigestMaps(warmRes.Maps) == wantDigest
 
@@ -194,10 +175,7 @@ func BenchEngine(p Params) error {
 		Candidates:      len(cands),
 		Cores:           runtime.NumCPU(),
 		Workers:         workers,
-		RefNsPerStep:    refNs,
 		KernelNsPerStep: seqNs,
-		KernelSpeedup:   float64(refNs) / float64(seqNs),
-		RefProfile:      refProfile,
 		KernelProfile:   kernelProfile,
 		SeqNsPerStep:    seqNs,
 		ParNsPerStep:    parNs,
@@ -214,9 +192,8 @@ func BenchEngine(p Params) error {
 	fmt.Fprintf(tw, "records\tcandidates\tcores\tworkers\n")
 	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\n\n", rep.Records, rep.Candidates, rep.Cores, rep.Workers)
 	fmt.Fprintf(tw, "variant\tns/step\tspeedup\n")
-	fmt.Fprintf(tw, "map-based scan (reference)\t%d\t1.00x\n", rep.RefNsPerStep)
-	fmt.Fprintf(tw, "fused kernel scan\t%d\t%.2fx\n", rep.KernelNsPerStep, rep.KernelSpeedup)
-	fmt.Fprintf(tw, "sharded parallel (kernel)\t%d\t%.2fx\n", rep.ParNsPerStep, float64(rep.RefNsPerStep)/float64(rep.ParNsPerStep))
+	fmt.Fprintf(tw, "fused kernel scan (sequential)\t%d\t1.00x\n", rep.KernelNsPerStep)
+	fmt.Fprintf(tw, "sharded parallel (kernel)\t%d\t%.2fx\n", rep.ParNsPerStep, rep.ParSpeedup)
 	fmt.Fprintf(tw, "cache cold (miss)\t%d\t\n", rep.ColdNsPerStep)
 	fmt.Fprintf(tw, "cache warm (hit)\t%d\t%.2fx\n", rep.WarmNsPerStep, rep.WarmSpeedup)
 	tw.Flush()

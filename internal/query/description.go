@@ -9,6 +9,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -56,11 +57,12 @@ func (s Selector) String() string {
 	return fmt.Sprintf("%s.%s=%c%s%c", s.Side, s.Attr, q, s.Value, q)
 }
 
-// Key returns a canonical identity string (used for set semantics).
-func (s Selector) Key() string { return fmt.Sprintf("%d\x00%s\x00%s", s.Side, s.Attr, s.Value) }
+// Key returns a canonical identity string (used for set semantics): the
+// side's number, the attribute and the value, NUL-separated.
+func (s Selector) Key() string { return strconv.Itoa(int(s.Side)) + "\x00" + s.Attr + "\x00" + s.Value }
 
 // AttrKey identifies the attribute (without the value) a selector binds.
-func (s Selector) AttrKey() string { return fmt.Sprintf("%d\x00%s", s.Side, s.Attr) }
+func (s Selector) AttrKey() string { return strconv.Itoa(int(s.Side)) + "\x00" + s.Attr }
 
 // Description is a conjunctive set of selectors defining a reviewer group
 // and an item group simultaneously (the paper's q). The zero value selects
@@ -168,13 +170,29 @@ func (d Description) ValueOf(side Side, attr string) (string, bool) {
 	return "", false
 }
 
-// Key returns a canonical identity string for the whole description.
+// Key returns a canonical identity string for the whole description: the
+// selector keys in canonical order, separated by \x01.
 func (d Description) Key() string {
-	parts := make([]string, len(d.selectors))
-	for i, s := range d.selectors {
-		parts[i] = s.Key()
+	if len(d.selectors) == 1 {
+		return d.selectors[0].Key()
 	}
-	return strings.Join(parts, "\x01")
+	n := 0
+	for _, s := range d.selectors {
+		n += len(s.Attr) + len(s.Value) + 5 // side digit(s), 2 NULs, \x01
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, s := range d.selectors {
+		if i > 0 {
+			b.WriteByte('\x01')
+		}
+		b.WriteString(strconv.Itoa(int(s.Side)))
+		b.WriteByte(0)
+		b.WriteString(s.Attr)
+		b.WriteByte(0)
+		b.WriteString(s.Value)
+	}
+	return b.String()
 }
 
 // Equal reports whether two descriptions select the same predicate.

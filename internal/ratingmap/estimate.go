@@ -17,28 +17,50 @@ func (a *Accumulator) CriteriaEstimate(k Key, seen *SeenSet, recordScale float64
 // measure, keeping the pruning estimates consistent with the configured
 // exact scoring.
 func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale float64, m PeculiarityMeasure) (s Scores, ok bool) {
-	p := a.find(k)
-	if p == nil {
+	i := a.index(k)
+	if i < 0 {
 		return s, false
 	}
-	nsub := p.nValues
-	if nsub == 0 || p.nRecords == 0 {
-		return s, true
+	return a.CriteriaEstimateAt(i, seen, recordScale, m), true
+}
+
+// maxStackScale bounds the rating scales whose per-estimate distributions
+// live on the stack; wider scales (none of the generated datasets has
+// one) fall back to the heap.
+const maxStackScale = 64
+
+// CriteriaEstimateAt is CriteriaEstimateOpt for the candidate at position
+// i of Keys(). It reads the candidate's rows in ascending value-id order
+// and, for scales up to maxStackScale, allocates nothing under PecTVD.
+func (a *Accumulator) CriteriaEstimateAt(i int, seen *SeenSet, recordScale float64, m PeculiarityMeasure) (s Scores) {
+	p := a.parts[i]
+	var buf [maxStackScale]float64
+	pooled := buf[:0]
+	if p.scale <= maxStackScale {
+		pooled = buf[:p.scale]
+	} else {
+		pooled = make([]float64, p.scale)
 	}
 
-	// Pooled distribution.
-	pooled := make([]float64, p.scale)
-	for _, c := range p.counts {
-		if c == nil {
-			continue
+	// Pooled distribution and subgroup count, one pass over the rows.
+	nsub, nRecords := 0, 0
+	for v, nv := 1, p.nValues(); v < nv; v++ {
+		n := 0
+		for j, c := range p.row(v) {
+			pooled[j] += float64(c)
+			n += int(c)
 		}
-		for i, v := range c {
-			pooled[i] += float64(v)
+		if n > 0 {
+			nsub++
+			nRecords += n
 		}
 	}
-	total := float64(p.nRecords)
-	for i := range pooled {
-		pooled[i] /= total
+	if nsub == 0 {
+		return s
+	}
+	total := float64(nRecords)
+	for j := range pooled {
+		pooled[j] /= total
 	}
 
 	// Conciseness (projected compaction gain, log-scaled).
@@ -53,41 +75,34 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 	// (support-shrunk max subgroup TVD), one pass per subgroup.
 	sdSum := 0.0
 	maxTVD := 0.0
-	for _, c := range p.counts {
-		if c == nil {
-			continue
-		}
+	for v, nv := 1, p.nValues(); v < nv; v++ {
+		row := p.row(v)
 		n := 0
-		for _, v := range c {
-			n += v
+		for _, c := range row {
+			n += int(c)
 		}
 		if n == 0 {
 			continue
 		}
 		fn := float64(n)
 		mean := 0.0
-		for i, v := range c {
-			mean += float64(i+1) * float64(v)
+		for j, c := range row {
+			mean += float64(j+1) * float64(c)
 		}
 		mean /= fn
 		variance := 0.0
 		tvd := 0.0
-		for i, v := range c {
-			d := float64(i+1) - mean
-			variance += float64(v) * d * d
-			tvd += math.Abs(float64(v)/fn - pooled[i])
+		for j, c := range row {
+			d := float64(j+1) - mean
+			variance += float64(c) * d * d
+			tvd += math.Abs(float64(c)/fn - pooled[j])
 		}
 		sdSum += fn * math.Sqrt(variance/fn)
 		var t float64
 		if m == PecTVD {
 			t = tvd / 2
 		} else {
-			// Non-TVD measures need the subgroup distribution explicitly.
-			sub := make([]float64, len(c))
-			for i, v := range c {
-				sub[i] = float64(v) / fn
-			}
-			t = pecDist(sub, pooled, m)
+			t = rowPecDist(row, fn, pooled, m)
 		}
 		t *= fn / (fn + pecSupport)
 		if t > maxTVD {
@@ -99,7 +114,24 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 
 	// Global peculiarity against the seen pooled distributions.
 	s[PecGlobal] = seen.maxDistAgainst(pooled, m)
-	return s, true
+	return s
+}
+
+// rowPecDist is the peculiarity distance of one subgroup row (n scored
+// records) from the pooled distribution under a non-TVD measure, which
+// needs the subgroup distribution explicitly.
+func rowPecDist(row []int32, n float64, pooled []float64, m PeculiarityMeasure) float64 {
+	var buf [maxStackScale]float64
+	sub := buf[:0]
+	if len(row) <= maxStackScale {
+		sub = buf[:len(row)]
+	} else {
+		sub = make([]float64, len(row))
+	}
+	for j, c := range row {
+		sub[j] = float64(c) / n
+	}
+	return pecDist(sub, pooled, m)
 }
 
 // maxDistAgainst returns the maximum peculiarity distance between dist and

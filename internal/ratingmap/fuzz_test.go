@@ -72,9 +72,17 @@ func fuzzFixture(tb testing.TB) (*dataset.DB, []Key) {
 	return fuzzDB.db, fuzzDB.keys
 }
 
-// accDigest fingerprints an accumulator's complete state: every candidate's
-// snapshot histogram plus the shared-scan visit counter.
-func accDigest(acc *Accumulator, keys []Key) string {
+// accState is the read side shared by the Accumulator and the test
+// oracle.
+type accState interface {
+	Snapshot(Key) *RatingMap
+	NumRecords(Key) int
+	RecordVisits() int
+}
+
+// accDigest fingerprints an accumulator's histograms: every candidate's
+// snapshot digest, in key order.
+func accDigest(acc accState, keys []Key) string {
 	var b strings.Builder
 	for _, k := range keys {
 		if rm := acc.Snapshot(k); rm != nil {
@@ -89,9 +97,10 @@ func accDigest(acc *Accumulator, keys []Key) string {
 // scan relies on: splitting a record sequence into contiguous pieces,
 // accumulating each piece privately, and merging the pieces in order must
 // be indistinguishable from accumulating the concatenation in one pass —
-// exact histogram counts, record totals, and visit counters. The record
-// sequence and the number of pieces are both fuzzer-chosen; positions may
-// repeat (Update has multiset semantics).
+// exact histogram counts, record totals, and visit counters — and both
+// must match the map-based oracle. The record sequence and the number of
+// pieces are both fuzzer-chosen; positions may repeat (Update has
+// multiset semantics).
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(2))
 	f.Add([]byte{}, uint8(3))
@@ -131,5 +140,9 @@ func FuzzMerge(f *testing.F) {
 		if got.RecordVisits() != want.RecordVisits() {
 			t.Fatalf("RecordVisits %d vs %d", got.RecordVisits(), want.RecordVisits())
 		}
+		ref := newOracle(db, keys)
+		ref.Update(records)
+		assertAccEqual(t, want, ref, keys, "one-pass vs oracle")
+		assertAccEqual(t, got, ref, keys, "merged vs oracle")
 	})
 }

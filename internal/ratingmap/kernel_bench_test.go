@@ -1,10 +1,10 @@
 package ratingmap
 
-// Microbenchmarks for the two Update paths on a Yelp-shaped workload:
-// the fused columnar kernel vs the map-based reference scan. Run with
+// Microbenchmark for NewAccumulator plus one fused-kernel Update on a
+// Yelp-shaped workload. Run with
 //   go test ./internal/ratingmap -bench BenchmarkUpdate -benchmem
-// to reproduce the per-scan numbers quoted in DESIGN.md; the end-to-end
-// step costs live in BENCH_engine.json (benchengine).
+// The end-to-end step costs live in BENCH_engine.json (benchengine) and
+// in stepbench.
 
 import (
 	"fmt"
@@ -87,15 +87,13 @@ func benchDB(b *testing.B, nRev, nItem, nRec int) (*dataset.DB, []Key, []int32) 
 	return db, keys, recs
 }
 
-func benchUpdate(b *testing.B, disableKernel bool) {
+func BenchmarkUpdateKernel(b *testing.B) {
 	db, keys, recs := benchDB(b, 2000, 800, 100_000)
-	bld := Builder{DB: db, DisableKernel: disableKernel}
+	bld := Builder{DB: db}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc := bld.NewAccumulator(query.Description{}, keys)
 		acc.Update(recs)
 	}
 }
-
-func BenchmarkUpdateKernel(b *testing.B)    { benchUpdate(b, false) }
-func BenchmarkUpdateReference(b *testing.B) { benchUpdate(b, true) }

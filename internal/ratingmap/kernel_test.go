@@ -1,12 +1,13 @@
 package ratingmap
 
-// Tests for the fused columnar scan kernel (kernel.go). The exactness
-// contract — kernel accumulator state bit-identical to the map-based
-// reference path on every input — is enforced three ways: fixture-driven
-// unit tests here, the engine differential harness (7500+ randomized
-// cases plus kernel-adversarial families), and FuzzScanKernel below,
-// which fuzzes the dataset shape itself (dictionary sizes, attribute
-// kinds, missing values, scales) alongside record positions and scores.
+// Tests for the fused columnar scan kernel and its dense rows (kernel.go).
+// The exactness contract — accumulator state bit-identical to the
+// map-based test oracle (oracle_test.go) on every input — is enforced
+// three ways: fixture-driven unit tests here, the engine differential
+// harness (7500+ randomized cases plus kernel-adversarial families,
+// against its own brute-force reference), and FuzzScanKernel below, which
+// fuzzes the dataset shape itself (dictionary sizes, attribute kinds,
+// missing values, scales) alongside record positions and scores.
 
 import (
 	"fmt"
@@ -16,46 +17,32 @@ import (
 	"subdex/internal/query"
 )
 
-// kernelPair builds one kernel-enabled and one reference accumulator over
-// the same database and candidate set.
-func kernelPair(db *dataset.DB, keys []Key) (kern, ref *Accumulator) {
-	kb := &Builder{DB: db}
-	rb := &Builder{DB: db, DisableKernel: true}
-	return kb.NewAccumulator(query.Description{}, keys), rb.NewAccumulator(query.Description{}, keys)
+// kernelPair builds an accumulator and a map-based oracle over the same
+// database and candidate set.
+func kernelPair(db *dataset.DB, keys []Key) (*Accumulator, *oracle) {
+	return (&Builder{DB: db}).NewAccumulator(query.Description{}, keys), newOracle(db, keys)
 }
 
 // assertAccEqual compares complete accumulator state: digests of every
 // candidate snapshot, per-candidate record totals, and the shared-scan
 // visit counter.
-func assertAccEqual(t *testing.T, kern, ref *Accumulator, keys []Key, label string) {
+func assertAccEqual(t *testing.T, got, want accState, keys []Key, label string) {
 	t.Helper()
-	if g, w := accDigest(kern, keys), accDigest(ref, keys); g != w {
-		t.Fatalf("%s: kernel digest diverges from reference\n got: %s\nwant: %s", label, g, w)
+	if g, w := accDigest(got, keys), accDigest(want, keys); g != w {
+		t.Fatalf("%s: digest diverges from the oracle\n got: %s\nwant: %s", label, g, w)
 	}
 	for _, k := range keys {
-		if kern.NumRecords(k) != ref.NumRecords(k) {
-			t.Fatalf("%s: NumRecords(%v) %d vs %d", label, k, kern.NumRecords(k), ref.NumRecords(k))
+		if got.NumRecords(k) != want.NumRecords(k) {
+			t.Fatalf("%s: NumRecords(%v) %d vs %d", label, k, got.NumRecords(k), want.NumRecords(k))
 		}
 	}
-	if kern.RecordVisits() != ref.RecordVisits() {
-		t.Fatalf("%s: RecordVisits %d vs %d", label, kern.RecordVisits(), ref.RecordVisits())
-	}
-}
-
-// TestKernelSelection pins the dispatch rule: kernel on frozen databases,
-// reference when disabled or unfrozen.
-func TestKernelSelection(t *testing.T) {
-	db, keys := fuzzFixture(nil)
-	if acc := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys); !acc.kernel {
-		t.Fatal("frozen DB: kernel must be selected")
-	}
-	if acc := (&Builder{DB: db, DisableKernel: true}).NewAccumulator(query.Description{}, keys); acc.kernel {
-		t.Fatal("DisableKernel: kernel must not be selected")
+	if got.RecordVisits() != want.RecordVisits() {
+		t.Fatalf("%s: RecordVisits %d vs %d", label, got.RecordVisits(), want.RecordVisits())
 	}
 }
 
 // TestKernelMatchesReferenceOnFixture scans the shared fixture whole, as a
-// strict subset, with repeated positions, and empty — kernel and reference
+// strict subset, with repeated positions, and empty — kernel and oracle
 // must agree bit for bit after every batch.
 func TestKernelMatchesReferenceOnFixture(t *testing.T) {
 	db, keys := fuzzFixture(nil)
@@ -80,21 +67,23 @@ func TestKernelMatchesReferenceOnFixture(t *testing.T) {
 	}
 }
 
+// batch returns the record positions [lo, hi).
+func batch(lo, hi int) []int32 {
+	out := make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, int32(i))
+	}
+	return out
+}
+
 // TestKernelMultiBatchAndRemove drives the phased-engine shape: several
-// Update batches with a candidate Remove in between. The kernel must stay
-// exact across batches (its scratch must fold and re-zero every call) and
-// must stop accumulating removed candidates exactly like the reference.
+// Update batches with a candidate Remove in between. The rows must stay
+// exact across batches and stop accumulating removed candidates exactly
+// like the oracle.
 func TestKernelMultiBatchAndRemove(t *testing.T) {
 	db, keys := fuzzFixture(nil)
 	n := db.Ratings.Len()
 	kern, ref := kernelPair(db, keys)
-	batch := func(lo, hi int) []int32 {
-		out := make([]int32, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, int32(i))
-		}
-		return out
-	}
 	kern.Update(batch(0, n/3))
 	ref.Update(batch(0, n/3))
 	kern.Remove(keys[0])
@@ -109,82 +98,73 @@ func TestKernelMultiBatchAndRemove(t *testing.T) {
 	}
 }
 
-// TestKernelScratchDrained pins the scratch invariant Merge and Snapshot
-// rely on: after Update returns, every dense block is all-zero and every
-// touched bitset is empty.
-func TestKernelScratchDrained(t *testing.T) {
+// TestFusedKernelRemoveOneDimension prunes one dimension's candidate of an
+// atomic and of a multi-valued attribute between two Update batches. The
+// fused scan keeps bumping the surviving dimensions' blocks from the same
+// value-id resolution: they must match the oracle bit for bit, and
+// RecordVisits must still count one visit per (record, attribute).
+func TestFusedKernelRemoveOneDimension(t *testing.T) {
 	db, keys := fuzzFixture(nil)
-	acc := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
-	records := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	acc.Update(records)
-	for _, ps := range acc.byAttr {
-		for _, p := range ps {
-			for i, c := range p.ks.dense {
-				if c != 0 {
-					t.Fatalf("candidate %v: dense[%d]=%d after Update", p.key, i, c)
-				}
-			}
-			if p.ks.touched != nil && p.ks.touched.Count() != 0 {
-				t.Fatalf("candidate %v: touched bitset not drained", p.key)
-			}
+	n := db.Ratings.Len()
+	// fuzzFixture orders keys dimension-major: keys[0..3] are dimension 0
+	// of gender, age, city, tag; keys[4..7] dimension 1.
+	gender0, tag1 := keys[0], keys[7]
+	kern, ref := kernelPair(db, keys)
+	first := batch(0, n/2)
+	kern.Update(first)
+	ref.Update(first)
+	kern.Remove(gender0)
+	ref.Remove(gender0)
+	kern.Remove(tag1)
+	ref.Remove(tag1)
+	second := append(batch(n/2, n), 1, 1, 2) // repeats count again
+	kern.Update(second)
+	ref.Update(second)
+
+	var survivors []Key
+	for _, k := range keys {
+		if k != gender0 && k != tag1 {
+			survivors = append(survivors, k)
 		}
+	}
+	assertAccEqual(t, kern, ref, survivors, "after pruning one dimension")
+	const attrs = 4 // gender, age, city, tag: each keeps one live dimension
+	if got, want := kern.RecordVisits(), attrs*(len(first)+len(second)); got != want {
+		t.Fatalf("RecordVisits = %d, want %d (one per record and attribute)", got, want)
+	}
+	if len(kern.Keys()) != len(survivors) {
+		t.Fatalf("Keys() has %d candidates, want %d", len(kern.Keys()), len(survivors))
+	}
+	for i, k := range kern.Keys() {
+		if k != survivors[i] {
+			t.Fatalf("Keys()[%d] = %v, want %v (registration order)", i, k, survivors[i])
+		}
+	}
+	if kern.Snapshot(gender0) != nil || kern.Snapshot(tag1) != nil {
+		t.Fatal("pruned candidates still have snapshots")
 	}
 }
 
-// TestKernelUnfrozenFallsBack: an unfrozen database has no columnar
-// projections; the accumulator must silently use the reference path and
-// still match a frozen kernel scan of the same data.
-func TestKernelUnfrozenFallsBack(t *testing.T) {
-	build := func(freeze bool) *dataset.DB {
-		rs := dataset.MustSchema(dataset.Attribute{Name: "g", Kind: dataset.Atomic})
-		is := dataset.MustSchema(dataset.Attribute{Name: "tag", Kind: dataset.MultiValued})
-		reviewers := dataset.NewEntityTable("reviewers", rs)
-		items := dataset.NewEntityTable("items", is)
-		for i := 0; i < 4; i++ {
-			reviewers.AppendRow("u", map[string]string{"g": fmt.Sprintf("g%d", i%3)}, nil)
-			items.AppendRow("i", nil, map[string][]string{"tag": {"a", fmt.Sprintf("t%d", i)}})
+// TestNewAccumulatorNeedsFrozen: the scan reads the columnar projections
+// Freeze builds, so an unfrozen database is a programming error.
+func TestNewAccumulatorNeedsFrozen(t *testing.T) {
+	rs := dataset.MustSchema(dataset.Attribute{Name: "g", Kind: dataset.Atomic})
+	is := dataset.MustSchema(dataset.Attribute{Name: "c", Kind: dataset.Atomic})
+	rt, err := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := dataset.NewDB("unfrozen", dataset.NewEntityTable("reviewers", rs), dataset.NewEntityTable("items", is), rt)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewAccumulator on an unfrozen database did not panic")
 		}
-		rt, err := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 12; r++ {
-			rt.Append(r%4, (r*3)%4, []dataset.Score{dataset.Score(r % 5)})
-		}
-		db := dataset.NewDB("k", reviewers, items, rt)
-		if freeze {
-			if err := db.Freeze(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	}
-	keys := []Key{
-		{Side: query.ReviewerSide, Attr: "g", Dim: 0},
-		{Side: query.ItemSide, Attr: "tag", Dim: 0},
-	}
-	records := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-
-	unfrozen := (&Builder{DB: build(false)}).NewAccumulator(query.Description{}, keys)
-	if unfrozen.kernel {
-		t.Fatal("unfrozen DB must not select the kernel")
-	}
-	unfrozen.Update(records)
-
-	frozen := (&Builder{DB: build(true)}).NewAccumulator(query.Description{}, keys)
-	if !frozen.kernel {
-		t.Fatal("frozen DB must select the kernel")
-	}
-	frozen.Update(records)
-
-	if g, w := accDigest(frozen, keys), accDigest(unfrozen, keys); g != w {
-		t.Fatalf("frozen kernel scan diverges from unfrozen reference scan\n got: %s\nwant: %s", g, w)
-	}
+	}()
+	(&Builder{DB: db}).NewAccumulator(query.Description{}, []Key{{Side: query.ReviewerSide, Attr: "g"}})
 }
 
 // fuzzShapeDB builds a database whose shape — table sizes, dictionary
-// sizes (including ids well past the reference path's initial counter
-// capacity), missing values, empty value sets, scales — is driven by the
+// sizes, missing values, empty value sets, scales — is driven by the
 // fuzzer's shape bytes. Deterministic in its input.
 func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 	t.Helper()
@@ -229,8 +209,8 @@ func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 	for i := 0; i < nItem; i++ {
 		city := ""
 		// A wide dictionary: high value ids reach records even when only a
-		// few rows exist, exercising the reference growth path vs the
-		// kernel's dict-sized dense block.
+		// few rows exist, exercising the oracle's map growth against the
+		// dictionary-sized dense rows.
 		if v := next() % 40; v > 0 {
 			city = fmt.Sprintf("c%d", v)
 		}
@@ -277,8 +257,8 @@ func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 // FuzzScanKernel fuzzes the dataset shape (dictionary sizes, missing
 // values, scales) and the record selection (positions with repeats,
 // scores) together, asserting the kernel's accumulator state is
-// bit-identical to the map-based reference path — one-shot and split into
-// two batches — and never panics.
+// bit-identical to the map-based oracle — one-shot, split into two
+// batches, and as three shards merged in order — and never panics.
 func FuzzScanKernel(f *testing.F) {
 	f.Add([]byte{3, 2, 4, 2, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{}, []byte{})
@@ -299,12 +279,22 @@ func FuzzScanKernel(f *testing.F) {
 		ref.Update(records)
 		assertAccEqual(t, kern, ref, keys, "one-shot")
 
-		// The same records split into two kernel batches must land in the
-		// same state: the scratch fold must be complete after every call.
-		split := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+		// The same records split into two batches must land in the same
+		// state.
+		b := &Builder{DB: db}
+		split := b.NewAccumulator(query.Description{}, keys)
 		mid := len(records) / 2
 		split.Update(records[:mid])
 		split.Update(records[mid:])
 		assertAccEqual(t, split, ref, keys, "two-batch")
+
+		// So must three shards accumulated privately and merged in order.
+		merged := b.NewAccumulator(query.Description{}, keys)
+		for w := 0; w < 3; w++ {
+			sh := b.NewAccumulator(query.Description{}, keys)
+			sh.Update(records[w*len(records)/3 : (w+1)*len(records)/3])
+			merged.Merge(sh)
+		}
+		assertAccEqual(t, merged, ref, keys, "merged shards")
 	})
 }

@@ -12,9 +12,9 @@ import (
 // the engine's sharded parallel scan: each worker accumulates a private
 // shard of the record range (no locks on the per-record hot loop), then the
 // shards are merged into the target accumulator *in shard order*. All
-// accumulator state is integer histogram counts, so merging is plain
-// addition — the merged state is bit-for-bit identical to a sequential scan
-// of the concatenated ranges, independent of thread scheduling. The
+// accumulator state is integer counter rows, so merging is plain addition
+// — the merged state is bit-for-bit identical to a sequential scan of the
+// concatenated ranges, independent of thread scheduling. The
 // differential harness in internal/engine and FuzzMerge below this package
 // prove that equivalence on randomized inputs.
 
@@ -24,81 +24,66 @@ import (
 func (a *Accumulator) Desc() query.Description { return a.desc }
 
 // Merge folds other's partial state into a. Candidates are matched by key:
-// counts of shared candidates are added element-wise; candidates present
-// only in other are deep-copied into a (registered at the end of a's key
-// order, preserving other's order). Both accumulators must observe the same
-// database — merging shards of one group's record range is the intended
-// use. Merge is exact: all state is integer counts, so
+// the counter blocks of shared candidates are added cell by cell;
+// candidates present only in other are deep-copied into a (registered at
+// the end of a's key order, preserving other's order). Both accumulators
+// must observe the same database — merging shards of one group's record
+// range is the intended use. Merge is exact: all state is integer counts,
+// so
 //
 //	Merge(accumulate(r[:i]), accumulate(r[i:])) == accumulate(r)
 //
 // for every split point i, bit for bit.
 func (a *Accumulator) Merge(other *Accumulator) {
-	for _, k := range other.order {
-		op := other.find(k)
-		if op == nil {
-			continue // unreachable: order and byAttr are kept in sync
-		}
-		p := a.find(k)
-		if p == nil {
-			ak := attrKey(k.Side, k.Attr)
-			cp := &partial{key: k, scale: op.scale}
-			cp.merge(op)
-			a.byAttr[ak] = append(a.byAttr[ak], cp)
-			a.order = append(a.order, k)
+	for j, k := range other.order {
+		op := other.parts[j]
+		if i := a.index(k); i >= 0 {
+			rows := a.parts[i].rows
+			for c, n := range op.rows {
+				rows[c] += n
+			}
 			continue
 		}
-		p.merge(op)
+		cp := *op
+		cp.rows = append([]int32(nil), op.rows...)
+		a.register(&cp)
 	}
 	a.recordVisits += other.recordVisits
 }
 
-// find returns the partial of a candidate key, or nil.
-func (a *Accumulator) find(k Key) *partial {
-	for _, cand := range a.byAttr[attrKey(k.Side, k.Attr)] {
-		if cand.key == k {
-			return cand
-		}
+// register appends a candidate with its own rows to the key order and to
+// its attribute's shared scan, creating the scan on first use. Merge and
+// DecodeWire use it; NewAccumulator registers in bulk.
+func (a *Accumulator) register(p *partial) {
+	si := a.scanIndex(p.key.Side, p.key.Attr)
+	if si == len(a.scans) {
+		a.scans = append(a.scans, resolveScan(a.db, p.key.Side, p.key.Attr))
 	}
-	return nil
+	a.scans[si].parts = append(a.scans[si].parts, p)
+	a.order = append(a.order, p.key)
+	a.parts = append(a.parts, p)
 }
 
-// merge adds o's histogram counts into p. Integer addition is associative
-// and commutative, so any merge order yields identical counts; the engine
-// still merges in shard order so the in-memory layout (counts slice
-// lengths, subgroup registration order) is reproducible run-to-run.
-func (p *partial) merge(o *partial) {
-	if len(o.counts) > len(p.counts) {
-		grown := make([][]int, len(o.counts))
-		copy(grown, p.counts)
-		p.counts = grown
-	}
-	for v, oc := range o.counts {
-		if oc == nil {
-			continue
-		}
-		c := p.counts[v]
-		if c == nil {
-			c = make([]int, p.scale)
-			p.counts[v] = c
-			p.nValues++
-		}
-		for s, n := range oc {
-			c[s] += n
+// index returns the position of a candidate key in Keys(), or -1.
+func (a *Accumulator) index(k Key) int {
+	for i, o := range a.order {
+		if o == k {
+			return i
 		}
 	}
-	p.nRecords += o.nRecords
+	return -1
 }
 
 // NumRecords reports how many scored records the candidate has accumulated
 // (0 for unknown candidates). Exposed for the differential test harness and
 // the bench's exactness checks.
 func (a *Accumulator) NumRecords(k Key) int {
-	p := a.find(k)
-	if p == nil {
+	i := a.index(k)
+	if i < 0 {
 		return 0
 	}
-	return p.nRecords
+	_, n := a.parts[i].census()
+	return n
 }
 
 // Digest renders a canonical, byte-stable fingerprint of a rating map:

@@ -9,8 +9,9 @@
 package ratingmap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"subdex/internal/dataset"
@@ -179,46 +180,46 @@ func (rm *RatingMap) Render(dict Dict) string {
 // groups by the same attribute, across all rating dimensions.
 type Builder struct {
 	DB *dataset.DB
-	// DisableKernel forces the map-based reference accumulation path even
-	// when the fused columnar scan kernel (kernel.go) is available. The
-	// reference path is the exactness oracle: the differential harness and
-	// FuzzScanKernel assert that both paths produce bit-identical digests
-	// on every input, and benchengine's reference arm uses it to measure
-	// the kernel's speedup.
-	DisableKernel bool
 }
 
-// partial accumulates one candidate map across phases. counts is indexed
-// by dense ValueID (dictionary ids are small and dense), with nil entries
-// for values not yet seen; this keeps the per-record hot path to two array
-// indexings instead of a map lookup.
+// partial is one candidate map's accumulation state: its dense counter
+// rows (see kernel.go) plus the per-record score column of its dimension,
+// resolved once at registration.
 type partial struct {
-	key      Key
-	scale    int
-	counts   [][]int // ValueID -> histogram (nil until seen)
-	nValues  int     // number of non-nil entries
-	nRecords int
-	// ks is the fused scan kernel's per-Update scratch (dense counter
-	// block + touched-value bitset, see kernel.go). Always folded back
-	// into counts and zeroed before Update returns, so Merge, Snapshot
-	// and the estimators never observe it.
-	ks kernelScratch
+	key    Key
+	scale  int
+	stride int // scale+1: the row width, including the missing-score column 0
+	// rows is the [NValues × stride] counter block of the candidate's
+	// grouping attribute: cell v*stride+s counts records of subgroup value
+	// v with score s. Row 0 (missing value) and column 0 (missing score)
+	// absorb the records the paper's GroupBy drops; every reader skips
+	// them. Empty when the attribute does not resolve to a column.
+	rows   []int32
+	scores []dataset.Score
+}
+
+// attrScan is one grouping attribute's shared scan: its value column and
+// record-to-entity-row index, and the partials of every candidate still
+// grouping by it (one per rating dimension).
+type attrScan struct {
+	side  query.Side
+	attr  string
+	col   *dataset.AttrColumn // nil when the attribute is unknown
+	rowOf []int32
+	parts []*partial
 }
 
 // Accumulator holds the in-progress subgroup histograms of a set of
-// candidate maps sharing scans, keyed by grouping attribute. The engine's
-// phase loop calls Update once per phase with the next record fraction.
+// candidate maps sharing scans. The engine's phase loop calls Update once
+// per phase with the next record fraction. Its only state is each
+// candidate's dense counter rows and the shared-scan visit counter.
 type Accumulator struct {
-	db *dataset.DB
-	// byAttr groups partials sharing the same (side, attr) so one
-	// attribute lookup per record serves every dimension.
-	byAttr map[string][]*partial
-	order  []Key
-	desc   query.Description
-	// kernel selects the fused columnar scan path (kernel.go) for Update.
-	// Set at construction: on iff the database is frozen (so the flat
-	// column projections exist) and the builder did not disable it.
-	kernel bool
+	db   *dataset.DB
+	desc query.Description
+	// order and parts are aligned: parts[i] accumulates candidate order[i].
+	order []Key
+	parts []*partial
+	scans []attrScan
 
 	// recordVisits counts per-record attribute lookups — the cost the
 	// "Combining Multiple Aggregates" sharing optimization bounds: one
@@ -228,132 +229,93 @@ type Accumulator struct {
 }
 
 // NewAccumulator prepares shared accumulation for the given candidate keys
-// over the rating group described by desc.
+// over the rating group described by desc. The database must be frozen:
+// the scan reads its columnar projections. Each candidate's attribute is
+// resolved to its column once here, and every candidate's counter rows
+// are carved from one zeroed slab.
 func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulator {
-	acc := &Accumulator{
-		db:     b.DB,
-		byAttr: make(map[string][]*partial),
-		desc:   desc,
-		kernel: !b.DisableKernel && b.DB != nil && b.DB.Frozen(),
+	if !b.DB.Frozen() {
+		panic("ratingmap: NewAccumulator needs a frozen database")
 	}
-	for _, k := range keys {
-		p := &partial{
-			key:   k,
-			scale: b.DB.Ratings.Dimensions[k.Dim].Scale,
+	acc := &Accumulator{
+		db:    b.DB,
+		desc:  desc,
+		order: append([]Key(nil), keys...),
+		parts: make([]*partial, len(keys)),
+	}
+	store := make([]partial, len(keys))
+	scanOf := make([]int, len(keys))
+	members := make([]int, 0, 8)
+	cells := 0
+	for i, k := range keys {
+		si := acc.scanIndex(k.Side, k.Attr)
+		if si == len(acc.scans) {
+			acc.scans = append(acc.scans, resolveScan(b.DB, k.Side, k.Attr))
+			members = append(members, 0)
 		}
-		ak := attrKey(k.Side, k.Attr)
-		acc.byAttr[ak] = append(acc.byAttr[ak], p)
-		acc.order = append(acc.order, k)
+		scanOf[i] = si
+		members[si]++
+		p := &store[i]
+		p.key = k
+		p.scale = b.DB.Ratings.Dimensions[k.Dim].Scale
+		p.stride = p.scale + 1
+		p.scores = b.DB.Ratings.Scores[k.Dim]
+		if col := acc.scans[si].col; col != nil {
+			cells += col.NValues * p.stride
+		}
+		acc.parts[i] = p
+	}
+	// Carve each scan's member list and each partial's rows from shared
+	// backing arrays. Capacity-limited sub-slices keep a later append
+	// (Merge registering a new candidate) from overwriting a neighbour.
+	ptrs := make([]*partial, len(keys))
+	off := 0
+	for si := range acc.scans {
+		acc.scans[si].parts = ptrs[off : off : off+members[si]]
+		off += members[si]
+	}
+	slab := make([]int32, cells)
+	for i, p := range acc.parts {
+		sc := &acc.scans[scanOf[i]]
+		sc.parts = append(sc.parts, p)
+		if sc.col != nil {
+			n := sc.col.NValues * p.stride
+			p.rows = slab[:n:n]
+			slab = slab[n:]
+		}
 	}
 	return acc
 }
 
-func attrKey(side query.Side, attr string) string {
-	return fmt.Sprintf("%d\x00%s", side, attr)
-}
-
-// Update feeds a batch of rating-record positions into every candidate map.
-// It dispatches to the fused columnar scan kernel (kernel.go) when the
-// database is frozen, falling back to the map-based reference path
-// otherwise (or when the builder disabled the kernel). Exactness is the
-// contract between the two paths: identical Digest output on every input,
-// enforced by the engine differential harness and FuzzScanKernel.
-func (a *Accumulator) Update(records []int32) {
-	if a.kernel {
-		a.updateKernel(records)
-		return
+// resolveScan looks up a grouping attribute's column. An unknown
+// attribute gets a nil column: its candidates accumulate nothing.
+func resolveScan(db *dataset.DB, side query.Side, attr string) attrScan {
+	t, rowOf := db.Reviewers, db.Ratings.Reviewer
+	if side != query.ReviewerSide {
+		t, rowOf = db.Items, db.Ratings.Item
 	}
-	a.updateReference(records)
+	return attrScan{side: side, attr: attr, col: t.Column(t.Schema.Index(attr)), rowOf: rowOf}
 }
 
-// updateReference is the row-oriented reference scan: per record, an
-// attribute-keyed lookup, a kind switch, and nested map-shaped partial
-// updates. Deliberately simple — it is the oracle the kernel is proven
-// bit-identical against.
-func (a *Accumulator) updateReference(records []int32) {
-	//subdex:orderinsensitive each iteration mutates only its own attribute's partials; records are scanned in slice order within each, so attribute order cannot leak into any histogram or discovery order
-	for ak, ps := range a.byAttr {
-		t, rowOf, ai := a.resolveAttr(ak)
-		if ai < 0 {
-			continue
-		}
-		a.recordVisits += len(records)
-		a.refScanAttr(t, rowOf, ai, records, ps)
+// scanIndex returns the index of the shared scan of (side, attr), or
+// len(a.scans) when no candidate registered it yet. Candidate lists put
+// an attribute's dimensions next to each other, so the last scan is
+// checked first.
+func (a *Accumulator) scanIndex(side query.Side, attr string) int {
+	n := len(a.scans)
+	if n > 0 && a.scans[n-1].side == side && a.scans[n-1].attr == attr {
+		return n - 1
 	}
-}
-
-// resolveAttr maps an attribute key to its entity table, the per-record
-// entity-row column, and the attribute's schema index (-1 if absent).
-func (a *Accumulator) resolveAttr(ak string) (*dataset.EntityTable, []int32, int) {
-	side, attr := splitAttrKey(ak)
-	if side == query.ReviewerSide {
-		return a.db.Reviewers, a.db.Ratings.Reviewer, a.db.Reviewers.Schema.Index(attr)
-	}
-	return a.db.Items, a.db.Ratings.Item, a.db.Items.Schema.Index(attr)
-}
-
-// refScanAttr folds one attribute's shared scan over records into its
-// partials via the row-oriented accessors.
-func (a *Accumulator) refScanAttr(t *dataset.EntityTable, rowOf []int32, ai int, records []int32, ps []*partial) {
-	kind := t.Schema.At(ai).Kind
-	for _, r := range records {
-		row := int(rowOf[r])
-		switch kind {
-		case dataset.Atomic:
-			v := t.AtomicValue(ai, row)
-			if v == dataset.MissingValue {
-				continue
-			}
-			for _, p := range ps {
-				p.add(v, a.db.Ratings.Scores[p.key.Dim][r])
-			}
-		case dataset.MultiValued:
-			for _, v := range t.MultiValues(ai, row) {
-				for _, p := range ps {
-					p.add(v, a.db.Ratings.Scores[p.key.Dim][r])
-				}
-			}
+	for si := range a.scans {
+		if a.scans[si].side == side && a.scans[si].attr == attr {
+			return si
 		}
 	}
+	return n
 }
 
-func splitAttrKey(ak string) (query.Side, string) {
-	for i := 0; i < len(ak); i++ {
-		if ak[i] == 0 {
-			return query.Side(ak[0] - '0'), ak[i+1:]
-		}
-	}
-	return query.ReviewerSide, ak
-}
-
-func (p *partial) add(v dataset.ValueID, s dataset.Score) {
-	if s == 0 {
-		return // missing score
-	}
-	p.histogram(v)[s-1]++
-	p.nRecords++
-}
-
-// histogram returns the subgroup histogram of value v, growing the counts
-// index and registering the value on first touch. Shared by the reference
-// per-record add and the kernel's block fold so both paths create entries
-// with identical bookkeeping.
-func (p *partial) histogram(v dataset.ValueID) []int {
-	if int(v) >= len(p.counts) {
-		grown := make([][]int, int(v)+8)
-		copy(grown, p.counts)
-		p.counts = grown
-	}
-	c := p.counts[v]
-	if c == nil {
-		c = make([]int, p.scale)
-		p.counts[v] = c
-		p.nValues++
-	}
-	return c
-}
-
-// Keys returns the candidate keys in registration order.
+// Keys returns the candidate keys in registration order. Position i of
+// the returned slice is the candidate the *At accessors address.
 func (a *Accumulator) Keys() []Key { return a.order }
 
 // RecordVisits reports how many (record, attribute) lookups the shared
@@ -361,67 +323,111 @@ func (a *Accumulator) Keys() []Key { return a.order }
 func (a *Accumulator) RecordVisits() int { return a.recordVisits }
 
 // Remove drops a candidate from accumulation, the effect of pruning: later
-// phases no longer pay for its histogram updates. Removing the last
+// phases no longer pay for its counter updates. Removing the last
 // candidate of an attribute removes the attribute's shared scan entirely.
 func (a *Accumulator) Remove(k Key) {
-	ak := attrKey(k.Side, k.Attr)
-	ps := a.byAttr[ak]
-	for i, p := range ps {
-		if p.key == k {
-			a.byAttr[ak] = append(ps[:i], ps[i+1:]...)
-			break
-		}
+	i := a.index(k)
+	if i < 0 {
+		return
 	}
-	if len(a.byAttr[ak]) == 0 {
-		delete(a.byAttr, ak)
-	}
-	for i, key := range a.order {
-		if key == k {
-			a.order = append(a.order[:i], a.order[i+1:]...)
+	p := a.parts[i]
+	a.order = append(a.order[:i], a.order[i+1:]...)
+	a.parts = append(a.parts[:i], a.parts[i+1:]...)
+	sc := &a.scans[a.scanIndex(k.Side, k.Attr)]
+	for j, q := range sc.parts {
+		if q == p {
+			sc.parts = append(sc.parts[:j], sc.parts[j+1:]...)
 			break
 		}
 	}
 }
 
 // Snapshot materializes the current partial state of one candidate as a
-// RatingMap. The engine uses snapshots both for per-phase utility estimates
-// and for the final exact maps after the last phase.
+// RatingMap (nil for unknown candidates). The engine uses snapshots both
+// for per-phase utility estimates and for the final exact maps after the
+// last phase.
 func (a *Accumulator) Snapshot(k Key) *RatingMap {
-	p := a.find(k)
-	if p == nil {
+	i := a.index(k)
+	if i < 0 {
 		return nil
 	}
+	return a.SnapshotAt(i)
+}
+
+// SnapshotAt is Snapshot of the candidate at position i of Keys(). Rows
+// are read in ascending value-id order; the subgroups' histograms share
+// one backing array.
+func (a *Accumulator) SnapshotAt(i int) *RatingMap {
+	p := a.parts[i]
+	k := a.order[i]
 	rm := &RatingMap{
-		Key:          k,
-		DimName:      a.db.Ratings.Dimensions[k.Dim].Name,
-		Scale:        p.scale,
-		Desc:         a.desc,
-		TotalRecords: p.nRecords,
-		total:        make([]int, p.scale),
+		Key:     k,
+		DimName: a.db.Ratings.Dimensions[k.Dim].Name,
+		Scale:   p.scale,
+		Desc:    a.desc,
+		total:   make([]int, p.scale),
 	}
-	for v, counts := range p.counts {
-		if counts == nil {
+	nsub, _ := p.census()
+	if nsub == 0 {
+		return rm
+	}
+	counts := make([]int, nsub*p.scale)
+	rm.Subgroups = make([]Subgroup, 0, nsub)
+	for v, nv := 1, p.nValues(); v < nv; v++ {
+		row := p.row(v)
+		n := 0
+		for _, c := range row {
+			n += int(c)
+		}
+		if n == 0 {
 			continue
 		}
-		n := 0
-		for s, c := range counts {
-			n += c
-			rm.total[s] += c
+		c := counts[:p.scale:p.scale]
+		counts = counts[p.scale:]
+		for s, x := range row {
+			c[s] = int(x)
+			rm.total[s] += int(x)
 		}
-		rm.Subgroups = append(rm.Subgroups, Subgroup{
-			Value:  dataset.ValueID(v),
-			Counts: append([]int(nil), counts...),
-			N:      n,
-		})
+		rm.TotalRecords += n
+		rm.Subgroups = append(rm.Subgroups, Subgroup{Value: dataset.ValueID(v), Counts: c, N: n})
 	}
-	sort.Slice(rm.Subgroups, func(i, j int) bool {
-		ai, aj := rm.Subgroups[i].AvgScore(), rm.Subgroups[j].AvgScore()
-		if ai != aj {
-			return ai > aj
+	slices.SortFunc(rm.Subgroups, func(x, y Subgroup) int {
+		ax, ay := x.AvgScore(), y.AvgScore()
+		switch {
+		case ax > ay:
+			return -1
+		case ax < ay:
+			return 1
 		}
-		return rm.Subgroups[i].Value < rm.Subgroups[j].Value
+		return cmp.Compare(x.Value, y.Value)
 	})
 	return rm
+}
+
+// nValues is the number of rows of the candidate's block (the dictionary
+// size of its attribute, including the missing-value row 0).
+func (p *partial) nValues() int { return len(p.rows) / p.stride }
+
+// row returns the scored cells (scores 1..scale) of value v's row.
+func (p *partial) row(v int) []int32 {
+	base := v * p.stride
+	return p.rows[base+1 : base+p.stride]
+}
+
+// census counts the subgroups (rows with at least one scored record) and
+// the scored records of the candidate.
+func (p *partial) census() (nsub, nRecords int) {
+	for v, nv := 1, p.nValues(); v < nv; v++ {
+		n := 0
+		for _, c := range p.row(v) {
+			n += int(c)
+		}
+		if n > 0 {
+			nsub++
+			nRecords += n
+		}
+	}
+	return nsub, nRecords
 }
 
 // Build materializes every candidate in one pass over all records of the
@@ -431,8 +437,8 @@ func (b *Builder) Build(desc query.Description, records []int32, keys []Key) []*
 	acc := b.NewAccumulator(desc, keys)
 	acc.Update(records)
 	out := make([]*RatingMap, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, acc.Snapshot(k))
+	for i := range keys {
+		out = append(out, acc.SnapshotAt(i))
 	}
 	return out
 }

@@ -1,8 +1,8 @@
 // Versioned compact-binary wire codec for partial accumulators — the
 // payload a cluster worker ships back to the coordinator (see
 // internal/cluster). The format serializes exactly the state Merge
-// consumes (per-candidate integer histograms plus the shared-scan visit
-// counter), so decode-then-Merge at the coordinator is bit-for-bit
+// consumes (each candidate's non-empty counter rows plus the shared-scan
+// visit counter), so decode-then-Merge at the coordinator is bit-for-bit
 // equivalent to having run the worker's scan locally.
 //
 // Frame layout (version 1), all integers unsigned varints unless noted:
@@ -18,28 +18,30 @@
 //	  scale
 //	  nRecords
 //	  nValues
-//	  nValues × {                  strictly ascending ValueID order
-//	    valueID
-//	    scale × count
+//	  nValues × {                  non-empty rows, strictly ascending
+//	    valueID                    ValueID order, ids ≥ 1
+//	    scale × count              scores 1..scale
 //	  }
 //	}
 //	checksum                       8 bytes, big-endian FNV-1a 64 of
 //	                               everything preceding it
 //
 // Decoding is strict: bad magic/version/checksum, non-ascending or
-// duplicate value ids, scale or dimension disagreeing with the builder's
-// database schema, per-key record counts that do not equal the histogram
-// mass, trailing bytes, or any cap violation all return an error — never
-// a panic and never an unbounded allocation — which FuzzPartialCodec
-// (wire_test.go) enforces on arbitrary input.
+// duplicate value ids, the missing value id 0, an all-zero row, an
+// attribute, value id, scale or dimension outside the builder's database
+// schema, per-key record counts that do not equal the histogram mass,
+// trailing bytes, or any cap violation all return an error — never a
+// panic and never an allocation the frame sizes: rows are sized by the
+// builder's own dictionaries. FuzzPartialCodec (wire_test.go) enforces
+// this on arbitrary input.
 package ratingmap
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 
-	"subdex/internal/dataset"
 	"subdex/internal/query"
 )
 
@@ -65,40 +67,38 @@ const (
 	maxWireScale   = 64
 	maxWireValueID = 1 << 21
 	maxWireCount   = int(1) << 40
+	// maxWireCell bounds one histogram cell: rows are int32 counters.
+	maxWireCell = math.MaxInt32
 )
 
 // EncodeWire serializes the accumulator's mergeable state as one
-// checksummed frame. Keys are written in registration order and value
-// histograms in ascending ValueID order, so equal accumulator states
-// produce identical bytes (encode is a canonical form: decode∘encode is
-// the identity on frames encode produced).
+// checksummed frame. Keys are written in registration order and each
+// candidate's non-empty rows in ascending ValueID order, so equal
+// accumulator states produce identical bytes (encode is a canonical form:
+// decode∘encode is the identity on frames encode produced).
 func (a *Accumulator) EncodeWire() []byte {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, wireMagic...)
 	buf = append(buf, WireVersion)
 	buf = binary.AppendUvarint(buf, uint64(a.recordVisits))
-	keys := make([]Key, 0, len(a.order))
-	for _, k := range a.order {
-		if a.find(k) != nil { // unreachable guard: order and byAttr are kept in sync
-			keys = append(keys, k)
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		p := a.find(k)
+	buf = binary.AppendUvarint(buf, uint64(len(a.order)))
+	for i, k := range a.order {
+		p := a.parts[i]
+		nsub, nRecords := p.census()
 		buf = append(buf, byte(k.Side))
 		buf = binary.AppendUvarint(buf, uint64(len(k.Attr)))
 		buf = append(buf, k.Attr...)
 		buf = binary.AppendUvarint(buf, uint64(k.Dim))
 		buf = binary.AppendUvarint(buf, uint64(p.scale))
-		buf = binary.AppendUvarint(buf, uint64(p.nRecords))
-		buf = binary.AppendUvarint(buf, uint64(p.nValues))
-		for v, c := range p.counts {
-			if c == nil {
+		buf = binary.AppendUvarint(buf, uint64(nRecords))
+		buf = binary.AppendUvarint(buf, uint64(nsub))
+		for v, nv := 1, p.nValues(); v < nv; v++ {
+			row := p.row(v)
+			if rowEmpty(row) {
 				continue
 			}
 			buf = binary.AppendUvarint(buf, uint64(v))
-			for _, n := range c {
+			for _, n := range row {
 				buf = binary.AppendUvarint(buf, uint64(n))
 			}
 		}
@@ -106,6 +106,15 @@ func (a *Accumulator) EncodeWire() []byte {
 	h := fnv.New64a()
 	h.Write(buf)
 	return h.Sum(buf)
+}
+
+func rowEmpty(row []int32) bool {
+	for _, c := range row {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // wireReader is a fail-fast cursor over a frame payload: the first
@@ -184,8 +193,8 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 	if got, want := binary.BigEndian.Uint64(frame[len(frame)-wireChecksumLen:]), h.Sum64(); got != want {
 		return nil, fmt.Errorf("ratingmap: wire checksum mismatch (got %016x, want %016x)", got, want)
 	}
-	if b.DB == nil {
-		return nil, fmt.Errorf("ratingmap: DecodeWire needs a builder with a database")
+	if b.DB == nil || !b.DB.Frozen() {
+		return nil, fmt.Errorf("ratingmap: DecodeWire needs a builder with a frozen database")
 	}
 	dims := b.DB.Ratings.Dimensions
 
@@ -198,12 +207,7 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 	if nKeys > maxWireKeys {
 		return nil, fmt.Errorf("ratingmap: wire key count %d exceeds cap", nKeys)
 	}
-	acc := &Accumulator{
-		db:     b.DB,
-		byAttr: make(map[string][]*partial),
-		desc:   desc,
-		kernel: !b.DisableKernel && b.DB.Frozen(),
-	}
+	acc := b.NewAccumulator(desc, nil)
 	for i := uint64(0); i < nKeys && r.err == nil; i++ {
 		side := r.byte("side")
 		if side > 1 {
@@ -238,32 +242,48 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 			break
 		}
 		k := Key{Side: query.Side(side), Attr: attr, Dim: int(dim)}
-		if acc.find(k) != nil {
+		if acc.index(k) >= 0 {
 			return nil, fmt.Errorf("ratingmap: wire frame repeats key %s", k)
 		}
-		p := &partial{key: k, scale: int(scale)}
-		prev, mass := -1, uint64(0)
+		// The rows are sized by the builder's own dictionary, never by
+		// the frame: an attribute or value id outside it is a foreign
+		// dataset.
+		col := resolveScan(b.DB, k.Side, attr).col
+		if col == nil {
+			return nil, fmt.Errorf("ratingmap: wire key %s names an attribute outside the schema", k)
+		}
+		p := &partial{key: k, scale: int(scale), stride: int(scale) + 1, scores: b.DB.Ratings.Scores[dim]}
+		p.rows = make([]int32, col.NValues*p.stride)
+		prev, mass := 0, uint64(0)
 		for j := uint64(0); j < nValues && r.err == nil; j++ {
 			v := r.uvarint("valueID")
 			if r.err != nil {
 				break
 			}
-			if v > maxWireValueID {
-				return nil, fmt.Errorf("ratingmap: wire value id %d exceeds cap", v)
+			if v == 0 {
+				return nil, fmt.Errorf("ratingmap: wire key %s lists the missing value id 0", k)
 			}
-			if int(v) <= prev {
+			if v <= uint64(prev) {
 				return nil, fmt.Errorf("ratingmap: wire value ids not strictly ascending (%d after %d)", v, prev)
 			}
+			if v >= uint64(p.nValues()) {
+				return nil, fmt.Errorf("ratingmap: wire value id %d outside the dictionary of %s", v, k)
+			}
 			prev = int(v)
-			c := p.histogram(dataset.ValueID(v))
-			for s := range c {
+			row := p.row(prev)
+			rowMass := uint64(0)
+			for s := range row {
 				n := r.uvarint("count")
-				if n > uint64(maxWireCount) {
+				if n > maxWireCell {
 					return nil, fmt.Errorf("ratingmap: wire count %d exceeds cap", n)
 				}
-				c[s] = int(n)
-				mass += n
+				row[s] = int32(n)
+				rowMass += n
 			}
+			if r.err == nil && rowMass == 0 {
+				return nil, fmt.Errorf("ratingmap: wire key %s lists empty value %d", k, v)
+			}
+			mass += rowMass
 		}
 		if r.err != nil {
 			break
@@ -272,10 +292,7 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 			return nil, fmt.Errorf("ratingmap: wire key %s histogram mass %d disagrees with record count %d",
 				k, mass, nRecords)
 		}
-		p.nRecords = int(nRecords)
-		ak := attrKey(k.Side, k.Attr)
-		acc.byAttr[ak] = append(acc.byAttr[ak], p)
-		acc.order = append(acc.order, k)
+		acc.register(p)
 	}
 	if r.err != nil {
 		return nil, r.err

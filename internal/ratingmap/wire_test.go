@@ -2,6 +2,8 @@ package ratingmap
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -204,7 +206,7 @@ func FuzzPartialCodec(f *testing.F) {
 		f.Add(wireAcc(db, keys, records).EncodeWire())
 	}
 	valid := wireAcc(db, keys[:3], all).EncodeWire()
-	f.Add(valid[:len(valid)/2])                       // truncated
+	f.Add(valid[:len(valid)/2])                        // truncated
 	f.Add(append(append([]byte{}, valid...), 1, 2, 3)) // trailing garbage
 	mut := append([]byte{}, valid...)
 	mut[len(mut)-1] ^= 0xFF // checksum corruption
@@ -254,5 +256,34 @@ func BenchmarkWireCodec(bm *testing.B) {
 		if got := acc.EncodeWire(); len(got) != len(frame) {
 			bm.Fatal(fmt.Sprintf("re-encode length %d, want %d", len(got), len(frame)))
 		}
+	}
+}
+
+// TestWireFramesPinned pins version-1 frame bytes: the frames of the
+// fixture's record sets (by length and SHA-256) and one short frame in
+// full. Any change to these bytes is a wire-format change and needs a
+// WireVersion bump.
+func TestWireFramesPinned(t *testing.T) {
+	db, keys := fuzzFixture(t)
+	want := []struct {
+		n   int
+		sum string
+	}{
+		{95, "486ca0236443fff379142e9a542ada9d2ad46eec55ac2962ce6d4dfd0c202cfe"},
+		{95, "0ae5b71aac9df1cd227d03a5f4de250b64f821f0dbeeb85a4ee9ca0397e1ac9d"},
+		{125, "40645c6cddeec3569736322704c93d23485e47d3f5e471baba353ef2369cc0d9"},
+		{206, "3bbe4a69a8d75e59ca6c6454edc47b6f656b419818b41f9e07c1bd11a6cf54c8"},
+		{190, "1b12c5da81dc52e03442c90ec000717dc20fa9781992bd8b2e25be472f17fd0a"},
+		{206, "c054c27ad21452fa672bf2b46d9715f086f1be71d8c86f5cdb9599c1d913b9e0"},
+	}
+	for i, records := range wireRecordSets(64) {
+		f := wireAcc(db, keys, records).EncodeWire()
+		if sum := fmt.Sprintf("%x", sha256.Sum256(f)); len(f) != want[i].n || sum != want[i].sum {
+			t.Errorf("record set %d: frame of %d bytes, sha256 %s; want %d bytes, %s", i, len(f), sum, want[i].n, want[i].sum)
+		}
+	}
+	const short = "5344584101180401046369747900050302010000000002020000010000010374616700050803010000010001020000020001030000020001000667656e646572010302010100000200036167650103050201010002020000024f87b8308a42a458"
+	if got := hex.EncodeToString(wireAcc(db, keys[2:6], []int32{5, 9, 9, 63, 0, 17}).EncodeWire()); got != short {
+		t.Errorf("short frame\n got: %s\nwant: %s", got, short)
 	}
 }
