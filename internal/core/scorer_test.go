@@ -158,3 +158,34 @@ func TestSessionFeedsLogAffinityScorer(t *testing.T) {
 		t.Fatal("session did not feed the log scorer")
 	}
 }
+
+// warmOpUtilityAllocs bounds the heap allocations of one warm
+// OperationUtility call: group-cache and engine-cache hits, the candidate
+// list, record sampling, the finalize pass over the cached BaseSet, the
+// k′ snapshots' shared backing arrays, and GMM's bookkeeping. None of it
+// grows with the number of candidate pairs GMM compares. Measured at 36;
+// the bound leaves room for toolchain drift, not for per-pair allocations.
+const warmOpUtilityAllocs = 45
+
+// TestOperationUtilityWarmAllocs: once an operation's target group and
+// accumulator are cached, evaluating it again allocates no more than a
+// small constant.
+func TestOperationUtilityWarmAllocs(t *testing.T) {
+	ex := coreExplorer(t)
+	seen := ratingmap.NewSeenSet()
+	op := query.Operation{Target: query.MustDescription(
+		query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"})}
+	want, err := ex.OperationUtility(op, seen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if u, err := ex.OperationUtility(op, seen); err != nil || u != want {
+			t.Fatalf("warm call = %v, %v; want %v", u, err, want)
+		}
+	})
+	t.Logf("warm OperationUtility: %v allocations", n)
+	if n > warmOpUtilityAllocs {
+		t.Fatalf("warm OperationUtility allocates %v times, want at most %d", n, warmOpUtilityAllocs)
+	}
+}

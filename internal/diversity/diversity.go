@@ -21,21 +21,24 @@ type Distance func(a, b *ratingmap.RatingMap) float64
 // rating distribution (which separates maps on different dimensions) and
 // its subgroup-average signature (which separates different groupings of
 // the same records; the pooled view alone is grouping-blind). Maps with
-// different scales are maximally distant.
+// different scales are maximally distant. Both views come from
+// RatingMap.Vectors, so on snapshot-built maps EMD allocates nothing.
 func EMD(a, b *ratingmap.RatingMap) float64 {
-	da, db := a.Distribution(), b.Distribution()
+	da, sa := a.Vectors()
+	db, sb := b.Vectors()
 	if len(da) != len(db) {
 		return math.Inf(1)
 	}
 	pooled, _ := stats.NormalizedEarthMovers(da, db)
-	sig, _ := stats.NormalizedEarthMovers(a.Signature(), b.Signature())
+	sig, _ := stats.NormalizedEarthMovers(sa, sb)
 	return (pooled + sig) / 2
 }
 
 // PooledEMD is the paper-literal distance over pooled distributions only,
 // kept for the diversity ablation benches.
 func PooledEMD(a, b *ratingmap.RatingMap) float64 {
-	da, db := a.Distribution(), b.Distribution()
+	da, _ := a.Vectors()
+	db, _ := b.Vectors()
 	if len(da) != len(db) {
 		return math.Inf(1)
 	}

@@ -9,6 +9,7 @@ import (
 	"subdex/internal/dataset"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
+	"subdex/internal/stats"
 )
 
 // fabricate builds a rating map with one bar per histogram on a 5-scale.
@@ -211,5 +212,38 @@ func TestSelectDiversePreservesUtilityOrder(t *testing.T) {
 	// Selection must preserve the (utility) order of the input ranking.
 	if sel[0] != maps[0] {
 		t.Error("top-utility map (seed) must be kept first")
+	}
+}
+
+// TestEMDSnapshotVectorsExact: EMD and PooledEMD over the vectors a
+// snapshot precomputes equal, bit for bit, the values computed from
+// freshly built Distribution() and Signature() vectors.
+func TestEMDSnapshotVectorsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		sa, sb := make([]int, 1+r.Intn(12)), []int(nil)
+		for i := range sa {
+			sa[i] = r.Intn(6) // 0 is a missing score
+			sb = append(sb, r.Intn(6))
+		}
+		a, b := realMaps(t, sa, sb)
+		pooled, _ := stats.NormalizedEarthMovers(a.Distribution(), b.Distribution())
+		sig, _ := stats.NormalizedEarthMovers(a.Signature(), b.Signature())
+		if got, want := EMD(a, b), (pooled+sig)/2; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: EMD = %v, recomputed vectors give %v", trial, got, want)
+		}
+		if got := PooledEMD(a, b); math.Float64bits(got) != math.Float64bits(pooled) {
+			t.Fatalf("trial %d: PooledEMD = %v, recomputed vectors give %v", trial, got, pooled)
+		}
+	}
+}
+
+// TestEMDAllocsZero: on snapshot-built maps the distance reads the
+// precomputed vectors, so GMM pays no allocation per pair.
+func TestEMDAllocsZero(t *testing.T) {
+	a, b := realMaps(t, []int{1, 2, 3, 4, 5, 5}, []int{5, 4, 4, 3, 1, 2})
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += EMD(a, b) + PooledEMD(a, b) }); n != 0 {
+		t.Fatalf("EMD on two snapshots allocates %v times, want 0", n)
 	}
 }

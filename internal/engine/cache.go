@@ -2,15 +2,18 @@
 // overlapping rating groups (filter → generalize → filter returns to a
 // selection whose maps were already computed, and the Recommendation
 // Builder re-evaluates hundreds of candidate operations whose targets
-// recur step after step). The scan — not the scoring — dominates TopMaps,
-// and the accumulated histograms depend only on (record set, candidate
-// set), NOT on the session's seen-set; memoizing completed accumulators
-// therefore lets a repeated step skip the scan entirely while the cheap
-// finalize pass still runs fresh against the current history, so cached
-// and uncached steps return identical Results. This is the
-// repeated-subquery memoization of the Subjective Databases system
-// (Li et al.) applied to SubDEx's aggregation hot path, budgeted like the
-// query layer's group cache (cf. Data Canopy [57]).
+// recur step after step). The accumulated histograms depend only on
+// (record set, candidate set), NOT on the session's seen-set, and so do
+// three of the four criteria of every candidate. An entry is therefore
+// a sealed accumulator (keys and counter rows, its scan state dropped)
+// plus its ratingmap.BaseSet (conciseness, agreement, self peculiarity
+// and the distinct pooled distributions), admitted after the finalize
+// pass that built the BaseSet. A repeated step skips the scan and the
+// base criteria; finalize still scores global peculiarity fresh against
+// the current history, so cached and uncached steps return identical
+// Results. This is the repeated-subquery memoization of the Subjective
+// Databases system (Li et al.) applied to SubDEx's aggregation hot path,
+// budgeted like the query layer's group cache (cf. Data Canopy [57]).
 
 package engine
 
@@ -23,10 +26,10 @@ import (
 	"subdex/internal/ratingmap"
 )
 
-// TopMapsCache memoizes fully-accumulated, unpruned accumulators across
-// TopMaps calls. Entries are keyed by (group signature, candidate-key
-// set, utility config) and budgeted by total cached record count — the
-// scan cost a hit saves — with LRU eviction.
+// TopMapsCache memoizes fully-accumulated, unpruned accumulators and
+// their BaseSets across TopMaps calls. Entries are keyed by (group
+// signature, candidate-key set, utility config) and budgeted by total
+// cached record count — the scan cost a hit saves — with LRU eviction.
 //
 // Correctness invariant: only accumulators from COMPLETE, UNPRUNED scans
 // are admitted (every candidate's histogram covers every record of the
@@ -34,8 +37,9 @@ import (
 // exact ranking directly; for unpruned configurations this is
 // bit-identical to the uncached run, for pruned configurations it is the
 // exact (strictly no-worse) answer the pruned run approximates w.h.p.
-// Cached accumulators are shared and read-only after publication;
-// concurrent finalize passes over one entry are safe.
+// Entries are sealed and read-only after publication (the BaseSet's
+// utility config is part of the key, so its peculiarity measure is the
+// caller's); concurrent finalize passes over one entry are safe.
 type TopMapsCache struct {
 	mu      sync.Mutex
 	budget  int
@@ -46,9 +50,12 @@ type TopMapsCache struct {
 	hits, misses, evictions int64
 }
 
+// topMapsCacheEntry is one completed scan: its sealed accumulator and
+// the BaseSet finalize filled from it.
 type topMapsCacheEntry struct {
 	key  cacheKey
 	acc  *ratingmap.Accumulator
+	base *ratingmap.BaseSet
 	cost int // record count of the cached scan
 }
 
@@ -62,28 +69,30 @@ func NewTopMapsCache(budgetRecords int) *TopMapsCache {
 	}
 }
 
-// get returns the cached accumulator for key, if any, marking it most
-// recently used.
-func (c *TopMapsCache) get(key cacheKey) (*ratingmap.Accumulator, bool) {
+// get returns the cached accumulator and BaseSet for key, if any, marking
+// the entry most recently used.
+func (c *TopMapsCache) get(key cacheKey) (*ratingmap.Accumulator, *ratingmap.BaseSet, bool) {
 	if c == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*topMapsCacheEntry).acc, true
+	e := el.Value.(*topMapsCacheEntry)
+	return e.acc, e.base, true
 }
 
-// put admits a completed accumulator, evicting LRU entries until the
-// record budget holds. It returns how many entries were evicted. Entries
-// larger than the whole budget are never admitted.
-func (c *TopMapsCache) put(key cacheKey, acc *ratingmap.Accumulator, cost int) int {
+// put admits a sealed, completed accumulator with its filled BaseSet,
+// evicting LRU entries until the record budget holds. It returns how many
+// entries were evicted. Entries larger than the whole budget are never
+// admitted.
+func (c *TopMapsCache) put(key cacheKey, acc *ratingmap.Accumulator, base *ratingmap.BaseSet, cost int) int {
 	if c == nil || c.budget <= 0 || cost > c.budget {
 		return 0
 	}
@@ -105,7 +114,7 @@ func (c *TopMapsCache) put(key cacheKey, acc *ratingmap.Accumulator, cost int) i
 		c.order.Remove(back)
 		evicted++
 	}
-	el := c.order.PushFront(&topMapsCacheEntry{key: key, acc: acc, cost: cost})
+	el := c.order.PushFront(&topMapsCacheEntry{key: key, acc: acc, base: base, cost: cost})
 	c.entries[key] = el
 	c.used += cost
 	return evicted

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,49 +23,49 @@ func TestTopMapsCacheLRUAndBudget(t *testing.T) {
 	c := NewTopMapsCache(100)
 	acc := &ratingmap.Accumulator{} // placeholder value; the cache never derefs it
 
-	if _, ok := c.get(k("a")); ok {
+	if _, _, ok := c.get(k("a")); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put(k("a"), acc, 40)
-	c.put(k("b"), acc, 40)
+	c.put(k("a"), acc, nil, 40)
+	c.put(k("b"), acc, nil, 40)
 	if st := c.Stats(); st.Entries != 2 || st.UsedRecords != 80 {
 		t.Fatalf("stats %+v", st)
 	}
 	// Touch a so b becomes LRU, then overflow: b must go first.
-	if _, ok := c.get(k("a")); !ok {
+	if _, _, ok := c.get(k("a")); !ok {
 		t.Fatal("want hit on a")
 	}
-	if ev := c.put(k("c"), acc, 40); ev != 1 {
+	if ev := c.put(k("c"), acc, nil, 40); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
-	if _, ok := c.get(k("b")); ok {
+	if _, _, ok := c.get(k("b")); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get(k("a")); !ok {
+	if _, _, ok := c.get(k("a")); !ok {
 		t.Fatal("a should have survived (recently used)")
 	}
 	// Oversized entries are never admitted.
-	if ev := c.put(k("huge"), acc, 101); ev != 0 {
+	if ev := c.put(k("huge"), acc, nil, 101); ev != 0 {
 		t.Fatalf("oversized put evicted %d", ev)
 	}
-	if _, ok := c.get(k("huge")); ok {
+	if _, _, ok := c.get(k("huge")); ok {
 		t.Fatal("oversized entry admitted")
 	}
 	c.Invalidate()
 	if st := c.Stats(); st.Entries != 0 || st.UsedRecords != 0 {
 		t.Fatalf("post-invalidate stats %+v", st)
 	}
-	if _, ok := c.get(k("a")); ok {
+	if _, _, ok := c.get(k("a")); ok {
 		t.Fatal("hit after invalidate")
 	}
 }
 
 func TestTopMapsCacheNilSafe(t *testing.T) {
 	var c *TopMapsCache
-	if _, ok := c.get(k("x")); ok {
+	if _, _, ok := c.get(k("x")); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.put(k("x"), nil, 1)
+	c.put(k("x"), nil, nil, 1)
 	c.addEvictions(3)
 	c.Invalidate()
 	if st := c.Stats(); st != (CacheStats{}) {
@@ -366,9 +368,10 @@ func TestExactOnCacheMiss(t *testing.T) {
 
 // warmHitAllocs bounds the heap allocations of one warm-cache TopMapsCtx
 // hit with k' = 4: the cache key's candidate bitset, the result, profile
-// and span bookkeeping, the finalize pass's per-call slices, and four
-// snapshots of four allocations each. Measured at 30; the bound leaves
-// room for toolchain drift, not for per-candidate allocations.
+// and span bookkeeping, the finalize pass's per-call slices, and the
+// snapshots, whose maps, histograms, subgroups and vectors share five
+// backing arrays. Measured at 21; the bound leaves room for toolchain
+// drift, not for per-candidate or per-map allocations.
 const warmHitAllocs = 40
 
 // TestWarmCacheHitAllocs: a cache hit skips the scan and re-finalizes the
@@ -406,5 +409,30 @@ func TestWarmCacheHitAllocs(t *testing.T) {
 	}
 	if all != few {
 		t.Fatalf("warm-cache hit allocations grow with the candidate count: %v with 6, %v with %d", few, all, len(keys))
+	}
+}
+
+// TestTopKMatchesStableSortPrefix: finalize's top-k′ selection returns
+// exactly the first k entries of a stable descending sort, including
+// when most utilities tie and k is 0, inside, or beyond the candidates.
+func TestTopKMatchesStableSortPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		utils := make([]float64, rng.Intn(40))
+		levels := 1 + rng.Intn(4) // few distinct values: heavy ties
+		for i := range utils {
+			utils[i] = float64(rng.Intn(levels)) / 2
+		}
+		order := make([]int, len(utils))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(utils[b], utils[a]) })
+		k := rng.Intn(len(utils) + 3)
+		got := topK(utils, k)
+		want := order[:min(k, len(order))]
+		if !slices.Equal(got, want) {
+			t.Fatalf("utils %v, k=%d: topK %v, stable sort prefix %v", utils, k, got, want)
+		}
 	}
 }

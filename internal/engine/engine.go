@@ -12,7 +12,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -201,8 +200,9 @@ func (g *Generator) TopMaps(group *query.RatingGroup, candidates []ratingmap.Key
 // counters and histograms. Both instruments are no-ops when absent.
 //
 // The context is consulted at every phase boundary and inside the
-// estimate/finalize worker chunk loops. Cancellation before the first
-// phase completes returns ctx.Err(). Cancellation after that degrades
+// estimate worker chunk loops; the final scoring pass reads accumulated
+// statistics, not records, and always completes. Cancellation before the
+// first phase completes returns ctx.Err(). Cancellation after that degrades
 // instead of failing: the scan stops at the last completed phase boundary
 // and the survivors are finalized over the records processed so far —
 // Algorithm 1 is an anytime algorithm, every phase boundary is a
@@ -238,11 +238,6 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 		if res.Degraded {
 			g.Metrics.addDegraded()
 			span.SetAttr("degraded", true)
-			if prof.DegradedReason == "" {
-				// The only degradation not tagged at its source: the deadline
-				// hit inside the final scoring pass.
-				prof.DegradedReason = "deadline_mid_finalize"
-			}
 		}
 		prof.Considered = res.Considered
 		prof.PrunedCI = res.PrunedCI
@@ -273,7 +268,7 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 		key, cacheable = newCacheKey(g.DB, group, candidates, cfg.Utility)
 	}
 	if cacheable {
-		if cached, ok := g.Cache.get(key); ok {
+		if cached, base, ok := g.Cache.get(key); ok {
 			g.Metrics.addCacheHit()
 			span.SetAttr("cache", "hit")
 			prof.Cache = "hit"
@@ -285,7 +280,7 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 			}
 			res.RecordsProcessed = n
 			fstart := time.Now()
-			g.finalize(ctx, cached, seen, kPrime, cfg, res)
+			g.finalize(cached, base, seen, kPrime, cfg, res)
 			prof.FinalizeMS = msSince(fstart)
 			return res, nil
 		}
@@ -324,14 +319,11 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 			res.Degraded = true
 			prof.DegradedReason = "partition_lost"
 		}
-		g.maybeCache(cacheable, key, acc, res, n)
-		fctx := ctx
-		if res.Degraded {
-			fctx = context.WithoutCancel(ctx)
-		}
 		fstart := time.Now()
-		g.finalize(fctx, acc, seen, kPrime, cfg, res)
+		base := ratingmap.NewBaseSet(acc, cfg.Utility.Peculiarity)
+		g.finalize(acc, base, seen, kPrime, cfg, res)
 		prof.FinalizeMS = msSince(fstart)
+		g.maybeCache(cacheable, key, acc, base, res, n)
 		return res, nil
 	}
 
@@ -501,18 +493,12 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 		endPhase()
 	}
 	res.RecordsProcessed = processed
-	g.maybeCache(cacheable, key, acc, res, n)
-	// Finalize over whatever prefix was accumulated. A degraded run
-	// finalizes under a detached context: the final scoring pass is cheap
-	// (it reads accumulated statistics, not records) and must complete for
-	// the anytime result to be usable.
-	fctx := ctx
-	if res.Degraded {
-		fctx = context.WithoutCancel(ctx)
-	}
+	// Finalize over whatever prefix was accumulated.
 	fstart := time.Now()
-	g.finalize(fctx, acc, seen, kPrime, cfg, res)
+	base := ratingmap.NewBaseSet(acc, cfg.Utility.Peculiarity)
+	g.finalize(acc, base, seen, kPrime, cfg, res)
 	prof.FinalizeMS = msSince(fstart)
+	g.maybeCache(cacheable, key, acc, base, res, n)
 	return res, nil
 }
 
@@ -682,96 +668,44 @@ func ciPrune(est map[int]estimateEntry, processed, total, kPrime int, delta floa
 	return pruned
 }
 
-// maybeCache admits the accumulator into the cross-step cache when it is
-// a complete, unpruned scan of the whole group: no candidate was removed
-// mid-scan (every histogram covers every record) and the scan reached the
-// final record. cacheable is false when no cache is installed or the call
-// bypasses it. A degraded *finalize* does not block admission —
-// degradation there only truncates scoring, the accumulated counts are
-// already complete.
-func (g *Generator) maybeCache(cacheable bool, key cacheKey, acc *ratingmap.Accumulator, res *Result, n int) {
+// maybeCache admits a finalized accumulator and its BaseSet into the
+// cross-step cache when the accumulator is a complete, unpruned scan of
+// the whole group: no candidate was removed mid-scan (every histogram
+// covers every record) and the scan reached the final record. cacheable
+// is false when no cache is installed or the call bypasses it. The
+// accumulator is sealed before it is published.
+func (g *Generator) maybeCache(cacheable bool, key cacheKey, acc *ratingmap.Accumulator, base *ratingmap.BaseSet, res *Result, n int) {
 	if !cacheable || res.PrunedCI > 0 || res.PrunedMAB > 0 || res.RecordsProcessed != n {
 		return
 	}
-	evicted := g.Cache.put(key, acc, n)
+	acc.Seal()
+	evicted := g.Cache.put(key, acc, base, n)
 	if evicted > 0 {
 		g.Cache.addEvictions(evicted)
 		g.Metrics.addCacheEvictions(evicted)
 	}
 }
 
-// finalize scores all remaining candidates on their full accumulated data
-// using the allocation-light estimator, ranks them, and materializes only
-// the top kPrime as rating maps. With normalization enabled in the utility
-// config, criterion columns are min-max normalized across the survivors
-// before aggregation, per Somech et al. [51].
+// finalize scores all remaining candidates on their full accumulated
+// data, ranks them, and materializes only the top kPrime as rating maps.
+// The seen-independent criteria come from base, built once per completed
+// scan (a miss) or taken from the cache (a hit); only global peculiarity
+// is computed against the current history, once per distinct pooled
+// distribution. With normalization enabled in the utility config,
+// criterion columns are min-max normalized across the survivors before
+// aggregation, per Somech et al. [51].
 //
-// The workers consult ctx between candidates: if the context dies
-// mid-finalize, unscored candidates are dropped from the ranking and the
-// result is marked Degraded (callers that already degraded pass a
-// detached context so the anytime result is always fully scored).
-func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet,
+// finalize reads accumulated statistics, not records, and does not
+// consult a context: it always runs to completion, so a deadline that
+// expires after the scan still yields a fully scored anytime result.
+func (g *Generator) finalize(acc *ratingmap.Accumulator, base *ratingmap.BaseSet, seen *ratingmap.SeenSet,
 	kPrime int, cfg Config, res *Result) {
 	keys := acc.Keys()
+	bound := base.Against(seen)
 	scores := make([]ratingmap.Scores, len(keys))
-	scored := make([]bool, len(keys))
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+	for i := range scores {
+		scores[i] = bound.At(i)
 	}
-	// Worker w scores the candidates at Keys() positions
-	// [w*chunk, (w+1)*chunk). Worker 0 runs on the calling goroutine, so a
-	// single worker spawns nothing.
-	chunk := (len(keys) + workers - 1) / workers
-	busy := make([]time.Duration, workers)
-	work := func(w int) {
-		t0 := time.Now()
-		for i := w * chunk; i < min((w+1)*chunk, len(keys)); i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			scores[i] = acc.CriteriaEstimateAt(i, seen, 1, cfg.Utility.Peculiarity)
-			scored[i] = true
-		}
-		busy[w] = time.Since(t0)
-	}
-	poolStart := time.Now()
-	var wg sync.WaitGroup
-	for w := 1; w < workers && w*chunk < len(keys); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	work(0)
-	wg.Wait()
-	var totalBusy time.Duration
-	for _, b := range busy {
-		totalBusy += b
-	}
-	g.Metrics.observeUtilization(totalBusy, time.Since(poolStart), workers)
-
-	// Drop candidates the cancelled scoring pass never reached; ranking a
-	// zero-valued score would be wrong, excluding it is merely incomplete.
-	// pos maps each ranked candidate back to its Keys() position.
-	pos := make([]int, 0, len(keys))
-	for i, ok := range scored {
-		if ok {
-			pos = append(pos, i)
-		}
-	}
-	if len(pos) < len(keys) {
-		res.Degraded = true
-		ck := make([]ratingmap.Key, 0, len(pos))
-		cs := make([]ratingmap.Scores, 0, len(pos))
-		for _, i := range pos {
-			ck = append(ck, keys[i])
-			cs = append(cs, scores[i])
-		}
-		keys, scores = ck, cs
-	}
-
 	if cfg.Utility.Normalize && len(keys) > 1 {
 		col := make([]float64, len(keys))
 		for c := ratingmap.Criterion(0); c < ratingmap.NumCriteria; c++ {
@@ -788,27 +722,39 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	for i := range keys {
 		utils[i] = ratingmap.DWUtility(scores[i].Aggregate(cfg.Utility), keys[i].Dim, seen, cfg.Utility)
 	}
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
+	top := topK(utils, kPrime)
+	res.Utilities = make([]float64, len(top))
+	for j, i := range top {
+		res.Utilities[j] = utils[i]
 	}
-	// Stable descending sort: equal utilities keep Keys() order.
-	slices.SortStableFunc(order, func(a, b int) int {
-		switch {
-		case utils[a] > utils[b]:
-			return -1
-		case utils[a] < utils[b]:
-			return 1
+	res.Maps = acc.SnapshotsAt(top)
+}
+
+// topK returns the indices of the k largest utilities in descending
+// order, equal utilities in index order: the first k entries of a stable
+// descending sort, found by insertion into a k-long ranked prefix
+// instead of sorting every candidate.
+func topK(utils []float64, k int) []int {
+	k = min(k, len(utils))
+	top := make([]int, 0, k)
+	for i, u := range utils {
+		n := len(top)
+		if n == k {
+			// Full: u enters only by beating the last entry, which drops
+			// out. An equal utility loses to the earlier index.
+			if k == 0 || !(u > utils[top[n-1]]) {
+				continue
+			}
+			n--
+		} else {
+			top = append(top, 0)
 		}
-		return 0
-	})
-	if kPrime > len(order) {
-		kPrime = len(order)
+		j := n
+		for j > 0 && utils[top[j-1]] < u {
+			j--
+		}
+		copy(top[j+1:], top[j:n])
+		top[j] = i
 	}
-	res.Maps = make([]*ratingmap.RatingMap, 0, kPrime)
-	res.Utilities = make([]float64, 0, kPrime)
-	for _, i := range order[:kPrime] {
-		res.Maps = append(res.Maps, acc.SnapshotAt(pos[i]))
-		res.Utilities = append(res.Utilities, utils[i])
-	}
+	return top
 }

@@ -71,7 +71,7 @@ type Profile struct {
 	TotalMS float64 `json:"total_ms"`
 	// DegradedReason says where the deadline cut a degraded run:
 	// "deadline_at_phase_boundary", "deadline_mid_estimate",
-	// "deadline_mid_tail_scan", "deadline_mid_finalize", or
+	// "deadline_mid_tail_scan", or
 	// "partition_lost" when a distributed scan dropped a partition after
 	// exhausting its retry budget.
 	DegradedReason string `json:"degraded_reason,omitempty"`

@@ -1,6 +1,9 @@
 package ratingmap
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // CriteriaEstimate computes the four bounded criteria of a candidate's
 // current partial state directly from the accumulator, without
@@ -32,8 +35,8 @@ const maxStackScale = 64
 // CriteriaEstimateAt is CriteriaEstimateOpt for the candidate at position
 // i of Keys(). It reads the candidate's rows in ascending value-id order
 // and, for scales up to maxStackScale, allocates nothing under PecTVD.
-func (a *Accumulator) CriteriaEstimateAt(i int, seen *SeenSet, recordScale float64, m PeculiarityMeasure) (s Scores) {
-	p := a.parts[i]
+func (a *Accumulator) CriteriaEstimateAt(i int, seen *SeenSet, recordScale float64, m PeculiarityMeasure) Scores {
+	p := &a.parts[i]
 	var buf [maxStackScale]float64
 	pooled := buf[:0]
 	if p.scale <= maxStackScale {
@@ -41,7 +44,19 @@ func (a *Accumulator) CriteriaEstimateAt(i int, seen *SeenSet, recordScale float
 	} else {
 		pooled = make([]float64, p.scale)
 	}
+	s, ok := p.baseScores(recordScale, m, pooled)
+	if ok {
+		s[PecGlobal] = seen.maxDistAgainst(pooled, m)
+	}
+	return s
+}
 
+// baseScores computes the candidate's seen-independent criteria —
+// conciseness projected by recordScale, agreement and self peculiarity —
+// and writes its pooled distribution into pooled, which must be zeroed
+// and p.scale long. ok is false for a candidate without subgroups, whose
+// criteria are all 0.
+func (p *partial) baseScores(recordScale float64, m PeculiarityMeasure, pooled []float64) (s Scores, ok bool) {
 	// Pooled distribution and subgroup count, one pass over the rows.
 	nsub, nRecords := 0, 0
 	for v, nv := 1, p.nValues(); v < nv; v++ {
@@ -56,7 +71,7 @@ func (a *Accumulator) CriteriaEstimateAt(i int, seen *SeenSet, recordScale float
 		}
 	}
 	if nsub == 0 {
-		return s
+		return s, false
 	}
 	total := float64(nRecords)
 	for j := range pooled {
@@ -111,10 +126,111 @@ func (a *Accumulator) CriteriaEstimateAt(i int, seen *SeenSet, recordScale float
 	}
 	s[Agreement] = 1 / (1 + sdSum/total)
 	s[PecSelf] = maxTVD
+	return s, true
+}
 
-	// Global peculiarity against the seen pooled distributions.
-	s[PecGlobal] = seen.maxDistAgainst(pooled, m)
-	return s
+// BaseSet memoizes the seen-independent part of a completed
+// accumulator's final criteria: per candidate, conciseness (at
+// recordScale 1), agreement and self peculiarity under one peculiarity
+// measure, and which pooled distribution it has. Only global peculiarity
+// depends on the session's history, so a BaseSet built once per
+// completed scan serves every later scoring pass of it. Candidates
+// grouping the same records on the same dimension often share their
+// pooled distribution, so each distinct one is stored, and later scored
+// against the history, once. The table holds no pointers but its three
+// backing arrays.
+type BaseSet struct {
+	m      PeculiarityMeasure
+	base   []baseEntry
+	dists  []distSpan // the distinct pooled distributions
+	pooled []float64  // their values, concatenated
+}
+
+// baseEntry is one candidate's memoized criteria and the index of its
+// pooled distribution in BaseSet.dists (-1 for a candidate without
+// subgroups, whose criteria are all 0).
+type baseEntry struct {
+	scores Scores // PecGlobal left 0
+	dist   int32
+}
+
+// distSpan locates one distinct pooled distribution in BaseSet.pooled.
+type distSpan struct{ off, n int32 }
+
+// NewBaseSet computes the BaseSet of every candidate of acc under
+// peculiarity measure m, reading each candidate's rows once.
+func NewBaseSet(acc *Accumulator, m PeculiarityMeasure) *BaseSet {
+	// A dimension's candidates pool either all of the group's scored
+	// records or all but those missing the grouping attribute, so there
+	// are typically about two distinct distributions per dimension.
+	dims := acc.db.Ratings.Dimensions
+	b := &BaseSet{
+		m:      m,
+		base:   make([]baseEntry, len(acc.parts)),
+		dists:  make([]distSpan, 0, 2*len(dims)),
+		pooled: make([]float64, 0, 2*len(dims)*dims[0].Scale),
+	}
+	var buf [maxStackScale]float64
+	for i := range acc.parts {
+		p := &acc.parts[i]
+		pooled := buf[:0]
+		if p.scale <= maxStackScale {
+			pooled = buf[:p.scale]
+			clear(pooled)
+		} else {
+			pooled = make([]float64, p.scale)
+		}
+		s, ok := p.baseScores(1, m, pooled)
+		e := &b.base[i]
+		e.scores, e.dist = s, -1
+		if ok {
+			e.dist = b.intern(pooled)
+		}
+	}
+	return b
+}
+
+// intern returns the index of the stored distribution equal to dist,
+// storing dist first when it is new.
+func (b *BaseSet) intern(dist []float64) int32 {
+	for d, sp := range b.dists {
+		if slices.Equal(b.pooled[sp.off:sp.off+sp.n], dist) {
+			return int32(d)
+		}
+	}
+	b.dists = append(b.dists, distSpan{off: int32(len(b.pooled)), n: int32(len(dist))})
+	b.pooled = append(b.pooled, dist...)
+	return int32(len(b.dists) - 1)
+}
+
+// Against binds the set to one seen history: it computes the global
+// peculiarity of each distinct pooled distribution once. The set is only
+// read, so one cached BaseSet serves concurrent scoring passes.
+func (b *BaseSet) Against(seen *SeenSet) SeenScores {
+	pec := make([]float64, len(b.dists))
+	for d, sp := range b.dists {
+		pec[d] = seen.maxDistAgainst(b.pooled[sp.off:sp.off+sp.n], b.m)
+	}
+	return SeenScores{base: b.base, pec: pec}
+}
+
+// SeenScores is a BaseSet bound to one seen history (see Against).
+type SeenScores struct {
+	base []baseEntry
+	pec  []float64 // global peculiarity per distinct pooled distribution
+}
+
+// At returns the final criteria of the candidate at position i of the
+// accumulator's Keys(): its memoized base plus its global peculiarity.
+// It equals CriteriaEstimateAt(i, seen, 1, m) bit for bit, seen and m
+// being the history and measure the scores were bound to.
+func (s SeenScores) At(i int) Scores {
+	e := &s.base[i]
+	out := e.scores
+	if e.dist >= 0 {
+		out[PecGlobal] = s.pec[e.dist]
+	}
+	return out
 }
 
 // rowPecDist is the peculiarity distance of one subgroup row (n scored

@@ -4,12 +4,22 @@ package ratingmap
 //
 // Every candidate map owns one dense [NValues × (scale+1)] int32 counter
 // block, its rows: cell v*(scale+1)+s counts the records of subgroup value
-// v with score s. The rows are the accumulator's only per-candidate state.
-// Update increments them, and every reader walks them in ascending
-// value-id order: Snapshot, CriteriaEstimateOpt, NumRecords, Merge (which
-// adds blocks cell by cell), Remove (which drops a block) and the wire
-// codec. All of a fresh accumulator's rows are carved from one zeroed
-// slab.
+// v with score s. The rows are the accumulator's only per-candidate state:
+// Accumulator.parts holds one partial per candidate by value, each just
+// {scale, stride, rows}, aligned with Keys(); a candidate's key lives only
+// in Keys(). Update increments the rows, and every reader walks them in
+// ascending value-id order: SnapshotsAt, CriteriaEstimateAt, NewBaseSet,
+// NumRecords, Merge (which adds blocks cell by cell), Remove (which drops
+// a block) and the wire codec. All of a fresh accumulator's rows are
+// carved from one zeroed slab.
+//
+// Each shared attribute scan lists its members by Keys() position; Remove
+// rewires those positions. When Update starts a scan, it builds a small
+// per-scan lane array on the stack — each member's rows plus the score
+// column of its dimension, looked up by Key.Dim — and hands it to the
+// kernel. Seal drops the scan state once the scan has completed, so a
+// sealed accumulator (the form the engine's cross-step cache holds) keeps
+// nothing but keys and rows; Update, Merge into it and Remove then panic.
 //
 // The scan reaches a record's value ids through flat columnar arrays:
 //
@@ -40,44 +50,70 @@ package ratingmap
 
 import "subdex/internal/dataset"
 
+// lane is one candidate's view of a scan batch: its counter rows and the
+// score column of its dimension, looked up when the batch starts.
+type lane struct {
+	rows   []int32
+	scores []dataset.Score
+	stride int
+}
+
+// maxStackLanes bounds the lanes a scan builds on the stack; an attribute
+// shared by more rating dimensions than this (none of the generated
+// datasets has one) builds them on the heap.
+const maxStackLanes = 16
+
 // Update feeds a batch of rating-record positions into every candidate map
-// (multiset semantics: a repeated position counts again).
+// (multiset semantics: a repeated position counts again). It panics on a
+// sealed accumulator.
 func (a *Accumulator) Update(records []int32) {
+	a.mustBeOpen("Update")
+	var buf [maxStackLanes]lane
 	for si := range a.scans {
 		sc := &a.scans[si]
-		if sc.col == nil || len(sc.parts) == 0 {
+		if sc.col == nil || len(sc.members) == 0 {
 			continue
+		}
+		lanes := buf[:0]
+		if len(sc.members) > len(buf) {
+			lanes = make([]lane, 0, len(sc.members))
+		}
+		for _, i := range sc.members {
+			p := &a.parts[i]
+			lanes = append(lanes, lane{rows: p.rows, scores: a.db.Ratings.Scores[a.order[i].Dim], stride: p.stride})
 		}
 		a.recordVisits += len(records)
 		if sc.col.Kind == dataset.Atomic {
-			scanAtomic(sc.parts, sc.col.Values, sc.rowOf, records)
+			scanAtomic(lanes, sc.col.Values, sc.rowOf, records)
 		} else {
-			scanMulti(sc.parts, sc.col.Values, sc.col.Offsets, sc.rowOf, records)
+			scanMulti(lanes, sc.col.Values, sc.col.Offsets, sc.rowOf, records)
 		}
 	}
 }
 
 // scanAtomic accumulates an atomic attribute: per record, one value-id
 // resolution, then one counter increment per dimension.
-func scanAtomic(parts []*partial, vals []dataset.ValueID, rowOf []int32, records []int32) {
+func scanAtomic(lanes []lane, vals []dataset.ValueID, rowOf []int32, records []int32) {
 	for _, r := range records {
 		v := int(vals[rowOf[r]])
-		for _, p := range parts {
-			p.rows[v*p.stride+int(p.scores[r])]++
+		for j := range lanes {
+			l := &lanes[j]
+			l.rows[v*l.stride+int(l.scores[r])]++
 		}
 	}
 }
 
 // scanMulti accumulates a multi-valued attribute over its CSR runs: per
 // record, the run is resolved once, then walked once per dimension.
-func scanMulti(parts []*partial, vals []dataset.ValueID, offs []int32, rowOf []int32, records []int32) {
+func scanMulti(lanes []lane, vals []dataset.ValueID, offs []int32, rowOf []int32, records []int32) {
 	for _, r := range records {
 		row := rowOf[r]
 		run := vals[offs[row]:offs[row+1]]
-		for _, p := range parts {
-			base := int(p.scores[r])
+		for j := range lanes {
+			l := &lanes[j]
+			base := int(l.scores[r])
 			for _, v := range run {
-				p.rows[int(v)*p.stride+base]++
+				l.rows[int(v)*l.stride+base]++
 			}
 		}
 	}

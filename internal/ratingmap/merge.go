@@ -33,10 +33,12 @@ func (a *Accumulator) Desc() query.Description { return a.desc }
 //
 //	Merge(accumulate(r[:i]), accumulate(r[i:])) == accumulate(r)
 //
-// for every split point i, bit for bit.
+// for every split point i, bit for bit. Merge panics when a is sealed;
+// other may be sealed.
 func (a *Accumulator) Merge(other *Accumulator) {
+	a.mustBeOpen("Merge")
 	for j, k := range other.order {
-		op := other.parts[j]
+		op := &other.parts[j]
 		if i := a.index(k); i >= 0 {
 			rows := a.parts[i].rows
 			for c, n := range op.rows {
@@ -46,7 +48,7 @@ func (a *Accumulator) Merge(other *Accumulator) {
 		}
 		cp := *op
 		cp.rows = append([]int32(nil), op.rows...)
-		a.register(&cp)
+		a.register(k, cp)
 	}
 	a.recordVisits += other.recordVisits
 }
@@ -54,13 +56,13 @@ func (a *Accumulator) Merge(other *Accumulator) {
 // register appends a candidate with its own rows to the key order and to
 // its attribute's shared scan, creating the scan on first use. Merge and
 // DecodeWire use it; NewAccumulator registers in bulk.
-func (a *Accumulator) register(p *partial) {
-	si := a.scanIndex(p.key.Side, p.key.Attr)
+func (a *Accumulator) register(k Key, p partial) {
+	si := a.scanIndex(k.Side, k.Attr)
 	if si == len(a.scans) {
-		a.scans = append(a.scans, resolveScan(a.db, p.key.Side, p.key.Attr))
+		a.scans = append(a.scans, resolveScan(a.db, k.Side, k.Attr))
 	}
-	a.scans[si].parts = append(a.scans[si].parts, p)
-	a.order = append(a.order, p.key)
+	a.scans[si].members = append(a.scans[si].members, len(a.order))
+	a.order = append(a.order, k)
 	a.parts = append(a.parts, p)
 }
 

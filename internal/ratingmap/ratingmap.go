@@ -95,6 +95,9 @@ type RatingMap struct {
 	TotalRecords int
 
 	total []int // pooled histogram across subgroups
+	// pooled and sig are Distribution() and Signature(), precomputed by
+	// SnapshotsAt (nil on maps built any other way); see Vectors.
+	pooled, sig stats.Distribution
 }
 
 // Dict resolves subgroup values to display strings; set by the builder.
@@ -109,6 +112,18 @@ func (rm *RatingMap) Distribution() stats.Distribution {
 	return stats.NewDistributionFromCounts(rm.total)
 }
 
+// Vectors returns the map's pooled distribution and signature, the two
+// views the diversity distance compares. Maps built by SnapshotsAt carry
+// both precomputed and return them without allocating; the vectors are
+// then shared and must not be modified. Maps built any other way compute
+// them afresh, equal bit for bit to Distribution() and Signature().
+func (rm *RatingMap) Vectors() (pooled, sig stats.Distribution) {
+	if rm.pooled != nil {
+		return rm.pooled, rm.sig
+	}
+	return rm.Distribution(), rm.Signature()
+}
+
 // NumSubgroups returns the number of bars.
 func (rm *RatingMap) NumSubgroups() int { return len(rm.Subgroups) }
 
@@ -121,6 +136,13 @@ func (rm *RatingMap) NumSubgroups() int { return len(rm.Subgroups) }
 // dimension. The diversity distance combines both.
 func (rm *RatingMap) Signature() stats.Distribution {
 	sig := make(stats.Distribution, rm.Scale)
+	rm.signatureInto(sig)
+	return sig
+}
+
+// signatureInto writes the signature into sig, which must be zeroed and
+// rm.Scale long.
+func (rm *RatingMap) signatureInto(sig stats.Distribution) {
 	total := 0.0
 	for i := range rm.Subgroups {
 		sg := &rm.Subgroups[i]
@@ -142,12 +164,11 @@ func (rm *RatingMap) Signature() stats.Distribution {
 	}
 	if total == 0 {
 		sig.Normalize()
-		return sig
+		return
 	}
 	for i := range sig {
 		sig[i] /= total
 	}
-	return sig
 }
 
 // Render formats the map as the tabular view of Figure 3.
@@ -182,11 +203,10 @@ type Builder struct {
 	DB *dataset.DB
 }
 
-// partial is one candidate map's accumulation state: its dense counter
-// rows (see kernel.go) plus the per-record score column of its dimension,
-// resolved once at registration.
+// partial is one candidate map's accumulation state, held by value in
+// Accumulator.parts: its dense counter rows (see kernel.go) and their
+// shape. The candidate's key lives only in Accumulator.order.
 type partial struct {
-	key    Key
 	scale  int
 	stride int // scale+1: the row width, including the missing-score column 0
 	// rows is the [NValues × stride] counter block of the candidate's
@@ -194,32 +214,35 @@ type partial struct {
 	// v with score s. Row 0 (missing value) and column 0 (missing score)
 	// absorb the records the paper's GroupBy drops; every reader skips
 	// them. Empty when the attribute does not resolve to a column.
-	rows   []int32
-	scores []dataset.Score
+	rows []int32
 }
 
 // attrScan is one grouping attribute's shared scan: its value column and
-// record-to-entity-row index, and the partials of every candidate still
-// grouping by it (one per rating dimension).
+// record-to-entity-row index, and the Keys() positions of every candidate
+// still grouping by it (one per rating dimension).
 type attrScan struct {
-	side  query.Side
-	attr  string
-	col   *dataset.AttrColumn // nil when the attribute is unknown
-	rowOf []int32
-	parts []*partial
+	side    query.Side
+	attr    string
+	col     *dataset.AttrColumn // nil when the attribute is unknown
+	rowOf   []int32
+	members []int
 }
 
 // Accumulator holds the in-progress subgroup histograms of a set of
 // candidate maps sharing scans. The engine's phase loop calls Update once
-// per phase with the next record fraction. Its only state is each
-// candidate's dense counter rows and the shared-scan visit counter.
+// per phase with the next record fraction. Its only per-candidate state
+// is each candidate's dense counter rows; the shared scans exist until
+// Seal.
 type Accumulator struct {
 	db   *dataset.DB
 	desc query.Description
 	// order and parts are aligned: parts[i] accumulates candidate order[i].
 	order []Key
-	parts []*partial
-	scans []attrScan
+	parts []partial
+	// scans is the shared-scan state Update, Merge and Remove need; Seal
+	// drops it (nil afterwards) once the scan has completed.
+	scans  []attrScan
+	sealed bool
 
 	// recordVisits counts per-record attribute lookups — the cost the
 	// "Combining Multiple Aggregates" sharing optimization bounds: one
@@ -241,43 +264,40 @@ func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulato
 		db:    b.DB,
 		desc:  desc,
 		order: append([]Key(nil), keys...),
-		parts: make([]*partial, len(keys)),
+		parts: make([]partial, len(keys)),
 	}
-	store := make([]partial, len(keys))
 	scanOf := make([]int, len(keys))
-	members := make([]int, 0, 8)
+	nMembers := make([]int, 0, 8)
 	cells := 0
 	for i, k := range keys {
 		si := acc.scanIndex(k.Side, k.Attr)
 		if si == len(acc.scans) {
 			acc.scans = append(acc.scans, resolveScan(b.DB, k.Side, k.Attr))
-			members = append(members, 0)
+			nMembers = append(nMembers, 0)
 		}
 		scanOf[i] = si
-		members[si]++
-		p := &store[i]
-		p.key = k
+		nMembers[si]++
+		p := &acc.parts[i]
 		p.scale = b.DB.Ratings.Dimensions[k.Dim].Scale
 		p.stride = p.scale + 1
-		p.scores = b.DB.Ratings.Scores[k.Dim]
 		if col := acc.scans[si].col; col != nil {
 			cells += col.NValues * p.stride
 		}
-		acc.parts[i] = p
 	}
 	// Carve each scan's member list and each partial's rows from shared
 	// backing arrays. Capacity-limited sub-slices keep a later append
 	// (Merge registering a new candidate) from overwriting a neighbour.
-	ptrs := make([]*partial, len(keys))
+	members := make([]int, len(keys))
 	off := 0
 	for si := range acc.scans {
-		acc.scans[si].parts = ptrs[off : off : off+members[si]]
-		off += members[si]
+		acc.scans[si].members = members[off : off : off+nMembers[si]]
+		off += nMembers[si]
 	}
 	slab := make([]int32, cells)
-	for i, p := range acc.parts {
+	for i := range acc.parts {
+		p := &acc.parts[i]
 		sc := &acc.scans[scanOf[i]]
-		sc.parts = append(sc.parts, p)
+		sc.members = append(sc.members, i)
 		if sc.col != nil {
 			n := sc.col.NValues * p.stride
 			p.rows = slab[:n:n]
@@ -322,23 +342,49 @@ func (a *Accumulator) Keys() []Key { return a.order }
 // scans performed so far — the work the sharing optimization bounds.
 func (a *Accumulator) RecordVisits() int { return a.recordVisits }
 
+// Seal marks the scan complete and drops the shared-scan state, leaving
+// only the keys and counter rows the readers need. Update, Merge (into a
+// sealed accumulator) and Remove panic afterwards; every reader, and
+// merging a sealed accumulator into an open one, keeps working. The
+// engine seals an accumulator before the cross-step cache admits it.
+func (a *Accumulator) Seal() {
+	a.scans = nil
+	a.sealed = true
+}
+
+// mustBeOpen panics when a mutator that needs the shared-scan state runs
+// on a sealed accumulator.
+func (a *Accumulator) mustBeOpen(op string) {
+	if a.sealed {
+		panic("ratingmap: " + op + " on a sealed accumulator")
+	}
+}
+
 // Remove drops a candidate from accumulation, the effect of pruning: later
-// phases no longer pay for its counter updates. Removing the last
-// candidate of an attribute removes the attribute's shared scan entirely.
+// phases no longer pay for its counter updates. The candidates after it
+// move up one Keys() position, and every scan's member list is rewired to
+// match. An attribute whose last candidate is removed is no longer
+// scanned.
 func (a *Accumulator) Remove(k Key) {
+	a.mustBeOpen("Remove")
 	i := a.index(k)
 	if i < 0 {
 		return
 	}
-	p := a.parts[i]
-	a.order = append(a.order[:i], a.order[i+1:]...)
-	a.parts = append(a.parts[:i], a.parts[i+1:]...)
-	sc := &a.scans[a.scanIndex(k.Side, k.Attr)]
-	for j, q := range sc.parts {
-		if q == p {
-			sc.parts = append(sc.parts[:j], sc.parts[j+1:]...)
-			break
+	a.order = slices.Delete(a.order, i, i+1)
+	a.parts = slices.Delete(a.parts, i, i+1)
+	for si := range a.scans {
+		sc := &a.scans[si]
+		kept := sc.members[:0]
+		for _, j := range sc.members {
+			switch {
+			case j < i:
+				kept = append(kept, j)
+			case j > i:
+				kept = append(kept, j-1)
+			}
 		}
+		sc.members = kept
 	}
 }
 
@@ -354,54 +400,78 @@ func (a *Accumulator) Snapshot(k Key) *RatingMap {
 	return a.SnapshotAt(i)
 }
 
-// SnapshotAt is Snapshot of the candidate at position i of Keys(). Rows
-// are read in ascending value-id order; the subgroups' histograms share
-// one backing array.
+// SnapshotAt is Snapshot of the candidate at position i of Keys().
 func (a *Accumulator) SnapshotAt(i int) *RatingMap {
-	p := a.parts[i]
-	k := a.order[i]
-	rm := &RatingMap{
-		Key:     k,
-		DimName: a.db.Ratings.Dimensions[k.Dim].Name,
-		Scale:   p.scale,
-		Desc:    a.desc,
-		total:   make([]int, p.scale),
+	return a.SnapshotsAt([]int{i})[0]
+}
+
+// SnapshotsAt materializes the candidates at the given Keys() positions,
+// in that order. Rows are read in ascending value-id order. Each map's
+// pooled distribution and signature are computed once here (see
+// RatingMap.Vectors). The maps, their histograms, subgroups and vectors
+// are carved from five backing arrays, however many maps are built.
+func (a *Accumulator) SnapshotsAt(pos []int) []*RatingMap {
+	nInts, nSubs, nFloats := 0, 0, 0
+	for _, i := range pos {
+		p := &a.parts[i]
+		nsub, _ := p.census()
+		nInts += (1 + nsub) * p.scale
+		nSubs += nsub
+		nFloats += 2 * p.scale
 	}
-	nsub, _ := p.census()
-	if nsub == 0 {
-		return rm
+	maps := make([]RatingMap, len(pos))
+	out := make([]*RatingMap, len(pos))
+	ints := make([]int, nInts)
+	subs := make([]Subgroup, nSubs)
+	floats := make([]float64, nFloats)
+	for j, i := range pos {
+		p := &a.parts[i]
+		k := a.order[i]
+		rm := &maps[j]
+		out[j] = rm
+		rm.Key = k
+		rm.DimName = a.db.Ratings.Dimensions[k.Dim].Name
+		rm.Scale = p.scale
+		rm.Desc = a.desc
+		rm.total, ints = ints[:p.scale:p.scale], ints[p.scale:]
+		nsub, _ := p.census()
+		if nsub > 0 {
+			rm.Subgroups, subs = subs[:0:nsub], subs[nsub:]
+		}
+		for v, nv := 1, p.nValues(); v < nv; v++ {
+			row := p.row(v)
+			n := 0
+			for _, c := range row {
+				n += int(c)
+			}
+			if n == 0 {
+				continue
+			}
+			var c []int
+			c, ints = ints[:p.scale:p.scale], ints[p.scale:]
+			for s, x := range row {
+				c[s] = int(x)
+				rm.total[s] += int(x)
+			}
+			rm.TotalRecords += n
+			rm.Subgroups = append(rm.Subgroups, Subgroup{Value: dataset.ValueID(v), Counts: c, N: n})
+		}
+		slices.SortFunc(rm.Subgroups, func(x, y Subgroup) int {
+			ax, ay := x.AvgScore(), y.AvgScore()
+			switch {
+			case ax > ay:
+				return -1
+			case ax < ay:
+				return 1
+			}
+			return cmp.Compare(x.Value, y.Value)
+		})
+		rm.pooled, floats = floats[:p.scale:p.scale], floats[p.scale:]
+		rm.sig, floats = floats[:p.scale:p.scale], floats[p.scale:]
+		stats.FillFromCounts(rm.pooled, rm.total)
+		rm.signatureInto(rm.sig)
 	}
-	counts := make([]int, nsub*p.scale)
-	rm.Subgroups = make([]Subgroup, 0, nsub)
-	for v, nv := 1, p.nValues(); v < nv; v++ {
-		row := p.row(v)
-		n := 0
-		for _, c := range row {
-			n += int(c)
-		}
-		if n == 0 {
-			continue
-		}
-		c := counts[:p.scale:p.scale]
-		counts = counts[p.scale:]
-		for s, x := range row {
-			c[s] = int(x)
-			rm.total[s] += int(x)
-		}
-		rm.TotalRecords += n
-		rm.Subgroups = append(rm.Subgroups, Subgroup{Value: dataset.ValueID(v), Counts: c, N: n})
-	}
-	slices.SortFunc(rm.Subgroups, func(x, y Subgroup) int {
-		ax, ay := x.AvgScore(), y.AvgScore()
-		switch {
-		case ax > ay:
-			return -1
-		case ax < ay:
-			return 1
-		}
-		return cmp.Compare(x.Value, y.Value)
-	})
-	return rm
+	return out
 }
 
 // nValues is the number of rows of the candidate's block (the dictionary
@@ -436,9 +506,9 @@ func (p *partial) census() (nsub, nRecords int) {
 func (b *Builder) Build(desc query.Description, records []int32, keys []Key) []*RatingMap {
 	acc := b.NewAccumulator(desc, keys)
 	acc.Update(records)
-	out := make([]*RatingMap, 0, len(keys))
-	for i := range keys {
-		out = append(out, acc.SnapshotAt(i))
+	pos := make([]int, len(keys))
+	for i := range pos {
+		pos[i] = i
 	}
-	return out
+	return acc.SnapshotsAt(pos)
 }

@@ -83,7 +83,7 @@ func (a *Accumulator) EncodeWire() []byte {
 	buf = binary.AppendUvarint(buf, uint64(a.recordVisits))
 	buf = binary.AppendUvarint(buf, uint64(len(a.order)))
 	for i, k := range a.order {
-		p := a.parts[i]
+		p := &a.parts[i]
 		nsub, nRecords := p.census()
 		buf = append(buf, byte(k.Side))
 		buf = binary.AppendUvarint(buf, uint64(len(k.Attr)))
@@ -252,7 +252,7 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 		if col == nil {
 			return nil, fmt.Errorf("ratingmap: wire key %s names an attribute outside the schema", k)
 		}
-		p := &partial{key: k, scale: int(scale), stride: int(scale) + 1, scores: b.DB.Ratings.Scores[dim]}
+		p := partial{scale: int(scale), stride: int(scale) + 1}
 		p.rows = make([]int32, col.NValues*p.stride)
 		prev, mass := 0, uint64(0)
 		for j := uint64(0); j < nValues && r.err == nil; j++ {
@@ -292,7 +292,7 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 			return nil, fmt.Errorf("ratingmap: wire key %s histogram mass %d disagrees with record count %d",
 				k, mass, nRecords)
 		}
-		acc.register(p)
+		acc.register(k, p)
 	}
 	if r.err != nil {
 		return nil, r.err

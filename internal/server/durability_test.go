@@ -731,6 +731,166 @@ func TestDeleteStepHammer(t *testing.T) {
 	sweeper.Wait()
 }
 
+// TestShedBetweenLookupAndLock replays, deterministically, the
+// interleaving TestDeleteStepHammer hits only by chance: a step or apply
+// resolves its session entry, the janitor sheds that entry before the
+// request takes its lock, and another request restores the session and
+// commits an op on the restored copy. The first request must then compute
+// on the installed copy, not on the detached one; computing on the
+// detached one answered 500 with "append seq K, want K+1".
+func TestShedBetweenLookupAndLock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(s *Server, id int, e *sessionEntry) *httptest.ResponseRecorder
+	}{
+		{"step", func(s *Server, id int, e *sessionEntry) *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/sessions/%d/step", id), nil)
+			s.handleStep(w, r, id, e)
+			return w
+		}},
+		{"apply", func(s *Server, id int, e *sessionEntry) *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/sessions/%d/apply", id),
+				strings.NewReader(`{"predicate": "reviewers.gender = 'female'"}`))
+			s.handleApply(w, r, id, e)
+			return w
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+			var offset atomic.Int64
+			clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
+			store := sessionstore.NewMemStore()
+			s, ts := durableServer(t, store, Options{
+				SessionTTL:      time.Minute,
+				JanitorInterval: time.Hour,
+				Clock:           clock,
+			})
+			_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
+			id := int(created["id"].(float64))
+			if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+				t.Fatalf("first step: %d", code)
+			}
+
+			stale, status, msg := s.entryOrRestore(context.Background(), id)
+			if status != 0 {
+				t.Fatalf("lookup: %d %s", status, msg)
+			}
+			offset.Store(int64(2 * time.Minute))
+			if n := s.EvictIdle(); n != 1 {
+				t.Fatalf("shed %d sessions, want 1", n)
+			}
+			// A concurrent request restores the session and commits on it.
+			if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+				t.Fatalf("step on the restored copy: %d", code)
+			}
+
+			w := tc.run(s, id, stale)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s after a shed under it: %d %s", tc.name, w.Code, w.Body.String())
+			}
+			snap, ok, err := store.Get(id)
+			if err != nil || !ok {
+				t.Fatalf("store lost the session: ok=%t err=%v", ok, err)
+			}
+			if len(snap.Ops) != 3 {
+				t.Fatalf("store holds %d ops, want 3", len(snap.Ops))
+			}
+			if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+				t.Fatalf("step after the race: %d", code)
+			}
+		})
+	}
+}
+
+// blockingAppendStore parks every AppendOp until released, so a test can
+// hold a request between committing an op in memory and logging it.
+type blockingAppendStore struct {
+	sessionstore.Store
+	started chan struct{} // closed when the first parked AppendOp begins
+	release chan struct{} // AppendOp proceeds once this closes
+	once    sync.Once
+	park    atomic.Bool // AppendOp parks only while set
+}
+
+func (s *blockingAppendStore) AppendOp(id, seq int, op core.SessionOp) error {
+	if s.park.Load() {
+		s.once.Do(func() { close(s.started) })
+		<-s.release
+	}
+	return s.Store.AppendOp(id, seq, op)
+}
+
+// TestShedDuringWALAppend pins the other half of the shed-vs-request
+// discipline: a step commits its op in memory and releases the session
+// lock before its WAL append. A janitor sweep in that window must leave
+// the session alone; shedding it logged the op first and failed the
+// append's seq check, a 500 on an op the session had already applied.
+// A DELETE in the window answers 409 for the same reason.
+func TestShedDuringWALAppend(t *testing.T) {
+	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	var offset atomic.Int64
+	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	store := &blockingAppendStore{
+		Store:   sessionstore.NewMemStore(),
+		started: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	s, ts := durableServer(t, store, Options{
+		SessionTTL:      time.Minute,
+		JanitorInterval: time.Hour,
+		Clock:           clock,
+	})
+	_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
+	id := int(created["id"].(float64))
+
+	store.park.Store(true)
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(fmt.Sprintf("%s/sessions/%d/step", ts.URL, id))
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	select {
+	case <-store.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("step never reached its WAL append")
+	}
+	offset.Store(int64(2 * time.Minute))
+	if n := s.EvictIdle(); n != 0 {
+		t.Errorf("janitor shed %d sessions with an op on its way to the WAL, want 0", n)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sessions/%d", ts.URL, id), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("DELETE during the WAL append: %d, want 409", resp.StatusCode)
+	}
+	store.park.Store(false)
+	close(store.release)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("step: %d, want 200", code)
+	}
+	if n := s.EvictIdle(); n != 1 {
+		t.Fatalf("janitor shed %d sessions once the append landed, want 1", n)
+	}
+	if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+		t.Fatalf("step after restore: %d", code)
+	}
+	if snap, ok, _ := store.Get(id); !ok || len(snap.Ops) != 2 {
+		t.Fatalf("store record: ok=%t, want 2 ops", ok)
+	}
+}
+
 // faultyGetStore fails every Get, simulating a store whose backing file
 // went bad between requests.
 type faultyGetStore struct {

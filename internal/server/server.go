@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subdex/internal/buildinfo"
@@ -158,6 +159,16 @@ type sessionEntry struct {
 	//subdex:lockorder rank=20 per-session compute lock: taken after Server.mu (janitor TryLock), before any store append
 	mu   sync.Mutex // serializes computation on this session
 	sess *core.Session
+	// detached is guarded by mu: set, with mu held, by whoever removes
+	// the entry from Server.sessions (a janitor shed or a DELETE). A
+	// request that locks an entry it looked up earlier checks it and
+	// re-resolves the id instead of computing on a removed copy.
+	detached bool
+	// unlogged counts ops committed in memory whose WAL append has not
+	// returned yet. It is raised before mu is released, so a janitor or
+	// DELETE holding mu sees every op still on its way to the WAL and
+	// leaves the entry alone.
+	unlogged atomic.Int32
 	// lastUsed is guarded by Server.mu (not entry.mu): the janitor reads
 	// it while deciding evictions without taking the compute lock.
 	lastUsed time.Time
@@ -461,10 +472,17 @@ func (s *Server) EvictIdle() int {
 		if !e.mu.TryLock() {
 			continue // a request is computing on it right now
 		}
+		if e.unlogged.Load() > 0 {
+			// A committed op is still on its way to the WAL: a shed now
+			// would log it first and fail that append's seq check.
+			e.mu.Unlock()
+			continue
+		}
 		if s.store != nil {
 			shed = append(shed, shedItem{id, e.sess.Snapshot()})
 		}
 		delete(s.sessions, id)
+		e.detached = true
 		e.mu.Unlock()
 		evicted++
 	}
@@ -852,6 +870,42 @@ func (s *Server) entryOrRestore(ctx context.Context, id int) (*sessionEntry, int
 	return e, 0, ""
 }
 
+// maxRelockAttempts bounds how often lockInstalled re-resolves a session
+// that keeps being shed under it before answering busy.
+const maxRelockAttempts = 3
+
+// lockInstalled takes the compute lock of the entry a step or apply
+// resolved, and makes sure it is still the installed copy. Between the
+// lookup and the lock, the janitor may have shed the entry or a DELETE
+// removed it. Computing on that detached copy would race a restored copy
+// for the session's WAL sequence, so a detached entry is unlocked and the
+// id resolved again through entryOrRestore. It returns the locked entry,
+// or the HTTP status and message to answer: 409 when another request
+// holds the lock, or entryOrRestore's status.
+func (s *Server) lockInstalled(ctx context.Context, id int, e *sessionEntry) (*sessionEntry, int, string) {
+	for attempt := 0; ; attempt++ {
+		// One session is single-threaded: a second concurrent step/apply
+		// on it is a client bug, rejected immediately instead of queued.
+		if !e.mu.TryLock() {
+			s.busyRejected.Inc()
+			return nil, http.StatusConflict, "session busy: a step or apply is already in flight"
+		}
+		if !e.detached {
+			return e, 0, ""
+		}
+		e.mu.Unlock()
+		if attempt == maxRelockAttempts {
+			s.busyRejected.Inc()
+			return nil, http.StatusConflict, "session busy: it is being shed; retry"
+		}
+		var status int
+		var msg string
+		if e, status, msg = s.entryOrRestore(ctx, id); status != 0 {
+			return nil, status, msg
+		}
+	}
+}
+
 // handleDelete removes a session and decrements the in-flight gauge.
 // Presence is rechecked under the lock so two concurrent DELETEs of the
 // same id cannot double-decrement, and the entry lock is TryLocked
@@ -870,7 +924,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, id int) {
 			writeError(w, http.StatusConflict, "session busy: a step or apply is already in flight")
 			return
 		}
+		if e.unlogged.Load() > 0 {
+			e.mu.Unlock()
+			s.mu.Unlock()
+			s.busyRejected.Inc()
+			writeError(w, http.StatusConflict, "session busy: a step or apply is still being logged")
+			return
+		}
 		delete(s.sessions, id)
+		e.detached = true
 		e.mu.Unlock()
 	}
 	// Tombstone the id in the same critical section as the removal:
@@ -1023,9 +1085,9 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id int, e *s
 	// the HTTP root span), the trace ID (so the step profile and wide
 	// event correlate with the caller's traceparent), and the request's
 	// cancellation, which the engine honors at phase boundaries.
-	if !e.mu.TryLock() {
-		s.busyRejected.Inc()
-		writeError(w, http.StatusConflict, "session busy: a step or apply is already in flight")
+	e, status, msg := s.lockInstalled(r.Context(), id, e)
+	if status != 0 {
+		writeError(w, status, msg)
 		return
 	}
 	opid := r.URL.Query().Get("opid")
@@ -1056,6 +1118,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id int, e *s
 		op, _ = e.sess.LastOp()
 		seq = e.sess.NumOps() - 1
 		payload = s.stepJSON(e.sess, step, explain)
+		e.unlogged.Add(1)
 	}
 	// Everything below — the WAL append, the wide event, dump triggers,
 	// the response — happens outside the session lock: the WAL fsync and
@@ -1088,7 +1151,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id int, e *s
 	}
 	// Log before respond: the step is durable before the client sees it,
 	// so a crash after this point loses nothing a client has acted on.
-	if !s.persistOp(w, id, seq, op, "step") {
+	if !s.persistOp(w, e, id, seq, op, "step") {
 		return
 	}
 	s.flight.Record(obs.NewWideEvent().
@@ -1108,12 +1171,14 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id int, e *s
 	writeJSON(w, http.StatusOK, payload)
 }
 
-// persistOp appends one committed op to the durable store, reporting
-// whether to proceed with the success response. On failure it answers
-// 500: the op is applied in memory (and the store's mirror; the gap
-// heals at the next compaction), but the client must not act on a
-// response the log never saw.
-func (s *Server) persistOp(w http.ResponseWriter, id, seq int, op core.SessionOp, what string) bool {
+// persistOp appends one committed op of entry e to the durable store,
+// reporting whether to proceed with the success response, and then
+// lowers e's unlogged count. On failure it answers 500: the op is
+// applied in memory (and the store's mirror; the gap heals at the next
+// compaction), but the client must not act on a response the log never
+// saw.
+func (s *Server) persistOp(w http.ResponseWriter, e *sessionEntry, id, seq int, op core.SessionOp, what string) bool {
+	defer e.unlogged.Add(-1)
 	if s.store == nil {
 		return true
 	}
@@ -1148,9 +1213,9 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, id int, e *
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if !e.mu.TryLock() {
-		s.busyRejected.Inc()
-		writeError(w, http.StatusConflict, "session busy: a step or apply is already in flight")
+	e, status, msg := s.lockInstalled(r.Context(), id, e)
+	if status != 0 {
+		writeError(w, status, msg)
 		return
 	}
 	sess := e.sess
@@ -1164,7 +1229,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, id int, e *
 		writeJSON(w, http.StatusOK, map[string]string{"selection": sel})
 		return
 	}
-	status, msg := s.applyLocked(sess, req)
+	status, msg = s.applyLocked(sess, req)
 	var op core.SessionOp
 	var seq int
 	var sel string
@@ -1173,6 +1238,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, id int, e *
 		op, _ = sess.LastOp()
 		seq = sess.NumOps() - 1
 		sel = sess.Current().String()
+		e.unlogged.Add(1)
 	}
 	// The WAL append and the response write stay outside the session
 	// lock (file I/O and client-paced I/O respectively).
@@ -1181,7 +1247,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, id int, e *
 		writeError(w, status, msg)
 		return
 	}
-	if !s.persistOp(w, id, seq, op, "apply") {
+	if !s.persistOp(w, e, id, seq, op, "apply") {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"selection": sel})

@@ -24,6 +24,13 @@ type Distribution []float64
 // distance computations remain well-defined.
 func NewDistributionFromCounts(counts []int) Distribution {
 	d := make(Distribution, len(counts))
+	FillFromCounts(d, counts)
+	return d
+}
+
+// FillFromCounts is NewDistributionFromCounts into caller-owned storage:
+// d must be len(counts) long.
+func FillFromCounts(d Distribution, counts []int) {
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -32,12 +39,11 @@ func NewDistributionFromCounts(counts []int) Distribution {
 		for i := range d {
 			d[i] = 1 / float64(len(d))
 		}
-		return d
+		return
 	}
 	for i, c := range counts {
 		d[i] = float64(c) / float64(total)
 	}
-	return d
 }
 
 // Normalize scales the distribution in place so it sums to one. A zero vector
