@@ -166,16 +166,18 @@ func NewGenerator(db *dataset.DB) *Generator {
 
 // Candidates enumerates all possible rating maps for a group description:
 // every unbound grouping attribute × every rating dimension (line 1 of
-// Algorithm 1).
+// Algorithm 1). The unbound attributes are counted first so the key slice
+// is one exactly sized allocation.
 func (g *Generator) Candidates(qe *query.Engine, desc query.Description) []ratingmap.Key {
-	groupings := qe.GroupingCandidates(desc)
+	n := 0
+	qe.EachGroupingCandidate(desc, func(query.GroupingCandidate) { n++ })
 	dims := len(g.DB.Ratings.Dimensions)
-	keys := make([]ratingmap.Key, 0, len(groupings)*dims)
-	for _, gc := range groupings {
+	keys := make([]ratingmap.Key, 0, n*dims)
+	qe.EachGroupingCandidate(desc, func(gc query.GroupingCandidate) {
 		for d := 0; d < dims; d++ {
 			keys = append(keys, ratingmap.Key{Side: gc.Side, Attr: gc.Attr, Dim: d})
 		}
-	}
+	})
 	return keys
 }
 

@@ -101,9 +101,7 @@ func (b *Bitset) Reset() {
 	}
 }
 
-// Range calls f for each member in ascending order. It is the
-// allocation-free counterpart of Elements, used by the ratingmap scan
-// kernel to fold only the touched rows of its dense counter blocks.
+// Range calls f for each member in ascending order.
 func (b *Bitset) Range(f func(i int)) {
 	for wi, w := range b.words {
 		base := wi * 64
@@ -115,15 +113,35 @@ func (b *Bitset) Range(f func(i int)) {
 	}
 }
 
-// Elements appends all members in ascending order to dst and returns it.
-func (b *Bitset) Elements(dst []int32) []int32 {
-	for wi, w := range b.words {
-		base := wi * 64
+// intersectionElements returns the members of the intersection of sets
+// (at least one, all over one universe) in ascending order. A popcount
+// pass over the word-wise AND sizes the result exactly; an extraction pass
+// recomputes the AND and fills it, so nothing is copied or sorted. An
+// empty intersection returns nil.
+func intersectionElements(sets []*Bitset) []int32 {
+	first, rest := sets[0].words, sets[1:]
+	n := 0
+	for i, w := range first {
+		for _, o := range rest {
+			w &= o.words[i]
+		}
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, n)
+	k := 0
+	for i, w := range first {
+		for _, o := range rest {
+			w &= o.words[i]
+		}
+		base := i * 64
 		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			dst = append(dst, int32(base+tz))
+			out[k] = int32(base + bits.TrailingZeros64(w))
+			k++
 			w &= w - 1
 		}
 	}
-	return dst
+	return out
 }

@@ -40,15 +40,7 @@ func assertMatches(t *testing.T, b *Bitset, m model, n int) {
 		}
 	}
 	want := m.elements()
-	got := b.Elements(nil)
-	if len(got) != len(want) {
-		t.Fatalf("Elements len %d, model %d", len(got), len(want))
-	}
-	for i := range got {
-		if int(got[i]) != want[i] {
-			t.Fatalf("Elements[%d] = %d, model %d", i, got[i], want[i])
-		}
-	}
+	assertElements(t, intersectionElements([]*Bitset{b}), want)
 	var ranged []int
 	b.Range(func(i int) { ranged = append(ranged, i) })
 	if len(ranged) != len(want) {
@@ -57,6 +49,23 @@ func assertMatches(t *testing.T, b *Bitset, m model, n int) {
 	for i := range ranged {
 		if ranged[i] != want[i] {
 			t.Fatalf("Range[%d] = %d, model %d (must be ascending)", i, ranged[i], want[i])
+		}
+	}
+}
+
+// assertElements checks an intersectionElements result against the
+// model's ascending members; an empty result must be nil.
+func assertElements(t *testing.T, got []int32, want []int) {
+	t.Helper()
+	if len(want) == 0 && got != nil {
+		t.Fatalf("empty intersection returned %v, want nil", got)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("intersectionElements len %d, model %d", len(got), len(want))
+	}
+	for i := range got {
+		if int(got[i]) != want[i] {
+			t.Fatalf("intersectionElements[%d] = %d, model %d", i, got[i], want[i])
 		}
 	}
 }
@@ -136,6 +145,17 @@ func TestBitsetIntersectUnion(t *testing.T) {
 				}
 			}
 			assertMatches(t, and, andM, n)
+			if n == on {
+				third, tm := randomPair(rng, n)
+				andThird := model{}
+				for i := range andM {
+					if tm[i] {
+						andThird[i] = true
+					}
+				}
+				assertElements(t, intersectionElements([]*Bitset{b, o}), andM.elements())
+				assertElements(t, intersectionElements([]*Bitset{b, o, third}), andThird.elements())
+			}
 
 			or := b.Clone()
 			or.UnionWith(o)

@@ -16,6 +16,8 @@ type groupCache struct {
 	used    int
 	order   *list.List // front = most recent; values are *cacheEntry
 	entries map[string]*list.Element
+
+	hits, misses int64
 }
 
 type cacheEntry struct {
@@ -30,8 +32,10 @@ func newGroupCache(budget int) *groupCache {
 func (c *groupCache) get(key string) (*RatingGroup, bool) {
 	el, ok := c.entries[key]
 	if !ok {
+		c.misses++
 		return nil, false
 	}
+	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).group, true
 }
@@ -99,4 +103,54 @@ func (e *Engine) cachedMaterialize(d Description) (*RatingGroup, bool, error) {
 	}
 	e.mu.Unlock()
 	return g, false, nil
+}
+
+// Stats is a point-in-time snapshot of the query layer's memory, served
+// by the server's /debug/cache endpoint next to the engine cache.
+type Stats struct {
+	GroupCache    GroupCacheStats    `json:"group_cache"`
+	SelectorIndex SelectorIndexStats `json:"selector_index"`
+}
+
+// GroupCacheStats describes the whole-group cache (all zero when it is
+// disabled). Hits and misses count lookups since EnableGroupCache last
+// (re)created the cache.
+type GroupCacheStats struct {
+	Entries       int   `json:"entries"`
+	UsedRecords   int   `json:"used_records"`
+	BudgetRecords int   `json:"budget_records"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+}
+
+// SelectorIndexStats describes the per-selector memo: how many selectors
+// are indexed and the bytes held by their entity and record bitsets.
+type SelectorIndexStats struct {
+	Selectors int   `json:"selectors"`
+	Bytes     int64 `json:"bytes"`
+}
+
+// Stats snapshots the group cache and the selector index.
+func (e *Engine) Stats() Stats {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var st Stats
+	if c := e.groups; c != nil {
+		st.GroupCache = GroupCacheStats{
+			Entries:       len(c.entries),
+			UsedRecords:   c.used,
+			BudgetRecords: c.budget,
+			Hits:          c.hits,
+			Misses:        c.misses,
+		}
+	}
+	si := &st.SelectorIndex
+	si.Selectors = len(e.sels)
+	for _, ix := range e.sels {
+		si.Bytes += int64(8 * len(ix.rows.words))
+		if ix.records != nil {
+			si.Bytes += int64(8 * len(ix.records.words))
+		}
+	}
+	return st
 }

@@ -22,16 +22,30 @@ type RatingGroup struct {
 // Len returns the number of rating records in the group.
 func (g *RatingGroup) Len() int { return len(g.Records) }
 
-// Engine materializes descriptions against a database, caching per-selector
-// entity bitsets (the dominant cost of repeated candidate evaluation during
-// recommendation building). The cache is guarded: the parallel
-// Recommendation Builder materializes many descriptions concurrently.
+// Engine materializes descriptions against a database. It memoizes, per
+// selector, the entity rows the selector admits and — built on the first
+// materialization that needs it — the rating records it admits, so a
+// repeated candidate evaluation during recommendation building costs a few
+// word-wise ANDs. The memo is guarded: the parallel Recommendation Builder
+// materializes many descriptions concurrently.
+//
+// The memo is bounded by the dictionaries: at most one entry per
+// registered attribute value, each holding an entity bitset and a record
+// bitset of N/8 bytes over the N-record rating table.
 type Engine struct {
 	DB *dataset.DB
 
-	mu       sync.RWMutex
-	selCache map[string]*Bitset
-	groups   *groupCache // optional whole-group cache (EnableGroupCache)
+	mu     sync.RWMutex
+	sels   map[string]*selectorIndex
+	groups *groupCache // optional whole-group cache (EnableGroupCache)
+}
+
+// selectorIndex is the memo of one selector. rows is set at creation;
+// records stays nil until the first materialization involving the
+// selector and is read and published under Engine.mu.
+type selectorIndex struct {
+	rows    *Bitset // entity rows of the selector's side
+	records *Bitset // rating-table positions whose entity is in rows
 }
 
 // NewEngine wraps a frozen database.
@@ -39,7 +53,7 @@ func NewEngine(db *dataset.DB) (*Engine, error) {
 	if !db.Frozen() {
 		return nil, fmt.Errorf("query: database %q is not frozen", db.Name)
 	}
-	return &Engine{DB: db, selCache: make(map[string]*Bitset)}, nil
+	return &Engine{DB: db, sels: make(map[string]*selectorIndex)}, nil
 }
 
 // table returns the entity table of a side.
@@ -66,13 +80,15 @@ func (e *Engine) Validate(d Description) error {
 	return nil
 }
 
-// selectorBitset returns the entity rows matching one selector, cached.
-func (e *Engine) selectorBitset(s Selector) (*Bitset, error) {
+// selector returns the memo of one selector, creating it with its entity
+// rows on first use.
+func (e *Engine) selector(s Selector) (*selectorIndex, error) {
+	key := s.Key()
 	e.mu.RLock()
-	b, ok := e.selCache[s.Key()]
+	ix, ok := e.sels[key]
 	e.mu.RUnlock()
 	if ok {
-		return b, nil
+		return ix, nil
 	}
 	t := e.table(s.Side)
 	a := t.Schema.Index(s.Attr)
@@ -83,37 +99,76 @@ func (e *Engine) selectorBitset(s Selector) (*Bitset, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: %s.%s has no value %q", s.Side, s.Attr, s.Value)
 	}
-	b = NewBitset(t.Len())
+	rows := NewBitset(t.Len())
 	for row := 0; row < t.Len(); row++ {
 		if t.HasValue(a, row, v) {
-			b.Set(row)
+			rows.Set(row)
 		}
 	}
 	e.mu.Lock()
-	e.selCache[s.Key()] = b
-	e.mu.Unlock()
-	return b, nil
+	defer e.mu.Unlock()
+	if prev, ok := e.sels[key]; ok {
+		return prev, nil // a concurrent first use won; keep one memo
+	}
+	ix = &selectorIndex{rows: rows}
+	e.sels[key] = ix
+	return ix, nil
+}
+
+// selectorRecords returns the rating records a selector admits, building
+// the record bitset from its entity rows and the per-entity record index
+// on first use.
+func (e *Engine) selectorRecords(s Selector) (*Bitset, error) {
+	ix, err := e.selector(s)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.RLock()
+	b := ix.records
+	e.mu.RUnlock()
+	if b != nil {
+		return b, nil
+	}
+	recordsOf := e.DB.RecordsOfReviewer
+	if s.Side == ItemSide {
+		recordsOf = e.DB.RecordsOfItem
+	}
+	b = NewBitset(e.DB.Ratings.Len())
+	ix.rows.Range(func(row int) {
+		for _, r := range recordsOf(row) {
+			b.Set(int(r))
+		}
+	})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ix.records == nil {
+		ix.records = b
+	}
+	return ix.records, nil
 }
 
 // EntityGroup materializes one side of a description as a row bitset.
 func (e *Engine) EntityGroup(d Description, side Side) (*Bitset, error) {
-	sels := d.SideSelectors(side)
 	acc := FullBitset(e.table(side).Len())
-	for _, s := range sels {
-		b, err := e.selectorBitset(s)
+	for _, s := range d.selectors {
+		if s.Side != side {
+			continue
+		}
+		ix, err := e.selector(s)
 		if err != nil {
 			return nil, err
 		}
-		acc.IntersectWith(b)
+		acc.IntersectWith(ix.rows)
 	}
 	return acc, nil
 }
 
-// Materialize evaluates a description into a rating group. The record scan
-// iterates the smaller entity side's per-entity record index and filters by
-// the other side's bitset, so narrow selections stay cheap. With the group
-// cache enabled (EnableGroupCache), repeated selections are served from
-// memory; the returned group must then be treated as immutable.
+// Materialize evaluates a description into a rating group. Records is the
+// intersection of the selectors' record bitsets, sized by a popcount pass
+// and extracted in ascending order, so its cost is a few word-wise ANDs
+// over the rating table whatever the group's size. With the group cache
+// enabled (EnableGroupCache), repeated selections are served from memory;
+// the returned group must then be treated as immutable.
 func (e *Engine) Materialize(d Description) (*RatingGroup, error) {
 	g, _, err := e.cachedMaterialize(d)
 	return g, err
@@ -129,94 +184,27 @@ func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 		return nil, err
 	}
 	g := &RatingGroup{Desc: d, Reviewers: ug, Items: ig}
-
-	uCount, iCount := ug.Count(), ig.Count()
 	switch {
-	case uCount == 0 || iCount == 0:
+	case ug.Count() == 0 || ig.Count() == 0:
 		// empty group
 	case d.IsEmpty():
 		g.Records = make([]int32, e.DB.Ratings.Len())
 		for r := range g.Records {
 			g.Records[r] = int32(r)
 		}
-	case uCount <= iCount:
-		rows := ug.Elements(nil)
-		for _, u := range rows {
-			for _, r := range e.DB.RecordsOfReviewer(int(u)) {
-				if ig.Has(int(e.DB.Ratings.Item[r])) {
-					g.Records = append(g.Records, r)
-				}
-			}
-		}
-		sortInt32(g.Records)
 	default:
-		rows := ig.Elements(nil)
-		for _, i := range rows {
-			for _, r := range e.DB.RecordsOfItem(int(i)) {
-				if ug.Has(int(e.DB.Ratings.Reviewer[r])) {
-					g.Records = append(g.Records, r)
-				}
+		var buf [4]*Bitset // longer descriptions spill to the heap
+		sets := buf[:0]
+		for _, s := range d.selectors {
+			b, err := e.selectorRecords(s)
+			if err != nil {
+				return nil, err
 			}
+			sets = append(sets, b)
 		}
-		sortInt32(g.Records)
+		g.Records = intersectionElements(sets)
 	}
 	return g, nil
-}
-
-func sortInt32(xs []int32) {
-	// insertion-friendly sizes dominate; use stdlib sort semantics without
-	// the interface allocation.
-	if len(xs) < 2 {
-		return
-	}
-	quicksortInt32(xs)
-}
-
-func quicksortInt32(xs []int32) {
-	for len(xs) > 12 {
-		p := partitionInt32(xs)
-		if p < len(xs)-p {
-			quicksortInt32(xs[:p])
-			xs = xs[p:]
-		} else {
-			quicksortInt32(xs[p:])
-			xs = xs[:p]
-		}
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func partitionInt32(xs []int32) int {
-	mid := len(xs) / 2
-	if xs[0] > xs[mid] {
-		xs[0], xs[mid] = xs[mid], xs[0]
-	}
-	if xs[0] > xs[len(xs)-1] {
-		xs[0], xs[len(xs)-1] = xs[len(xs)-1], xs[0]
-	}
-	if xs[mid] > xs[len(xs)-1] {
-		xs[mid], xs[len(xs)-1] = xs[len(xs)-1], xs[mid]
-	}
-	pivot := xs[mid]
-	i, j := 0, len(xs)-1
-	for {
-		for xs[i] < pivot {
-			i++
-		}
-		for xs[j] > pivot {
-			j--
-		}
-		if i >= j {
-			return j + 1
-		}
-		xs[i], xs[j] = xs[j], xs[i]
-		i++
-		j--
-	}
 }
 
 // GroupingCandidate describes one way to partition a rating group: by an
@@ -227,25 +215,23 @@ type GroupingCandidate struct {
 	Attr string
 }
 
-// GroupingCandidates lists the attributes a rating map may group the given
-// description by. Attributes already bound to a value are excluded — their
-// partition would be a single subgroup.
-func (e *Engine) GroupingCandidates(d Description) []GroupingCandidate {
-	var out []GroupingCandidate
-	for _, side := range []Side{ReviewerSide, ItemSide} {
+// EachGroupingCandidate calls f, reviewer attributes first and then item
+// attributes in schema order, for every attribute a rating map may group d
+// by. Attributes already bound to a value are excluded — their partition
+// would be a single subgroup — and so are attributes with fewer than two
+// values. Visiting instead of returning a slice lets a caller count the
+// candidates and then fill its own exactly sized slice.
+func (e *Engine) EachGroupingCandidate(d Description, f func(GroupingCandidate)) {
+	for _, side := range [...]Side{ReviewerSide, ItemSide} {
 		t := e.table(side)
 		for a := 0; a < t.Schema.Len(); a++ {
 			name := t.Schema.At(a).Name
-			if d.BindsAttr(side, name) {
+			if d.BindsAttr(side, name) || t.ValueCardinality(a) < 2 {
 				continue
 			}
-			if t.ValueCardinality(a) < 2 {
-				continue
-			}
-			out = append(out, GroupingCandidate{Side: side, Attr: name})
+			f(GroupingCandidate{Side: side, Attr: name})
 		}
 	}
-	return out
 }
 
 // AttributeValues returns the registered values of an attribute, sorted.

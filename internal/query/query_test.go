@@ -135,8 +135,8 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Has(64) || b.Count() != 4 {
 		t.Fatal("Clear failed")
 	}
-	if got := b.Elements(nil); len(got) != 4 || got[0] != 0 || got[3] != 129 {
-		t.Fatalf("Elements = %v", got)
+	if got := intersectionElements([]*Bitset{b}); len(got) != 4 || got[0] != 0 || got[3] != 129 {
+		t.Fatalf("members = %v", got)
 	}
 }
 
@@ -314,11 +314,15 @@ func TestMaterializeEmptyGroup(t *testing.T) {
 func TestGroupingCandidatesExcludeBound(t *testing.T) {
 	db := buildQueryDB(t)
 	e, _ := NewEngine(db)
-	all := e.GroupingCandidates(MustDescription())
+	list := func(d Description) (out []GroupingCandidate) {
+		e.EachGroupingCandidate(d, func(gc GroupingCandidate) { out = append(out, gc) })
+		return out
+	}
+	all := list(MustDescription())
 	if len(all) != 4 {
 		t.Fatalf("expected 4 grouping candidates, got %v", all)
 	}
-	bound := e.GroupingCandidates(MustDescription(sel(ReviewerSide, "gender", "F")))
+	bound := list(MustDescription(sel(ReviewerSide, "gender", "F")))
 	if len(bound) != 3 {
 		t.Fatalf("bound attribute must be excluded: got %v", bound)
 	}

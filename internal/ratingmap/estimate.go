@@ -80,7 +80,7 @@ func (p *partial) baseScores(recordScale float64, m PeculiarityMeasure, pooled [
 
 	// Conciseness (projected compaction gain, log-scaled).
 	gain := recordScale * total / float64(nsub)
-	conc := math.Log1p(gain) / math.Log1p(concGainRef)
+	conc := math.Log1p(gain) / log1pConcGainRef
 	if conc > 1 {
 		conc = 1
 	}

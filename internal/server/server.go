@@ -628,7 +628,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // cache: entry/record occupancy against the budget, hit/miss/eviction
 // counters, and the derived hit rate. The same counters are exported as
 // subdex_engine_cache_*_total on /metrics; this endpoint adds the
-// occupancy view Prometheus counters cannot carry.
+// occupancy view Prometheus counters cannot carry. Next to it, "query"
+// reports the query layer: the whole-group cache (occupancy, hits,
+// misses) and the per-selector index (selectors indexed, bytes held).
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -640,6 +642,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		"engine_cache": st,
 		"hit_rate":     st.HitRate(),
 		"enabled":      st.BudgetRecords > 0,
+		"query":        s.ex.Query.Stats(),
 	})
 }
 

@@ -499,6 +499,19 @@ func TestDebugCacheEndpoint(t *testing.T) {
 		} `json:"engine_cache"`
 		HitRate float64 `json:"hit_rate"`
 		Enabled bool    `json:"enabled"`
+		Query   struct {
+			GroupCache struct {
+				Entries       int   `json:"entries"`
+				UsedRecords   int   `json:"used_records"`
+				BudgetRecords int   `json:"budget_records"`
+				Hits          int64 `json:"hits"`
+				Misses        int64 `json:"misses"`
+			} `json:"group_cache"`
+			SelectorIndex struct {
+				Selectors int   `json:"selectors"`
+				Bytes     int64 `json:"bytes"`
+			} `json:"selector_index"`
+		} `json:"query"`
 	}
 	resp := getJSON(t, ts.URL+"/debug/cache", &out)
 	if resp.StatusCode != http.StatusOK {
@@ -509,6 +522,13 @@ func TestDebugCacheEndpoint(t *testing.T) {
 	}
 	if out.EngineCache.Hits != 0 || out.EngineCache.Misses != 0 {
 		t.Fatalf("fresh server has cache traffic: %+v", out)
+	}
+	qc := out.Query.GroupCache
+	if qc.BudgetRecords <= 0 {
+		t.Fatalf("default server must enable the group cache: %+v", out.Query)
+	}
+	if qc.Hits != 0 || qc.Misses != 0 || qc.Entries != 0 || out.Query.SelectorIndex.Selectors != 0 {
+		t.Fatalf("fresh server has query-layer traffic: %+v", out.Query)
 	}
 
 	// One step populates the cache (recommendation evaluation revisits
@@ -527,6 +547,25 @@ func TestDebugCacheEndpoint(t *testing.T) {
 	}
 	if out.EngineCache.UsedRecords > out.EngineCache.BudgetRecords {
 		t.Fatalf("budget overrun: %+v", out)
+	}
+	// The step materialized its selection and the recommendation
+	// candidates: the group cache missed and filled, and the selectors
+	// those candidates bind were indexed.
+	qc = out.Query.GroupCache
+	if qc.Misses == 0 || qc.Entries == 0 || qc.UsedRecords == 0 || qc.UsedRecords > qc.BudgetRecords {
+		t.Fatalf("step left no group-cache activity: %+v", qc)
+	}
+	si := out.Query.SelectorIndex
+	if si.Selectors == 0 || si.Bytes <= 0 {
+		t.Fatalf("step indexed no selectors: %+v", si)
+	}
+	// Repeating the step re-materializes the same selection from the
+	// group cache.
+	prevHits := qc.Hits
+	getJSON(t, fmt.Sprintf("%s/sessions/%d/step", ts.URL, id), &step)
+	getJSON(t, ts.URL+"/debug/cache", &out)
+	if out.Query.GroupCache.Hits <= prevHits {
+		t.Fatalf("repeated step produced no group-cache hit: %+v", out.Query.GroupCache)
 	}
 
 	// Method discipline.
